@@ -6,7 +6,7 @@
 #include <array>
 
 #include "bench_common.hpp"
-#include "core/thread_pool.hpp"
+#include "core/parallel.hpp"
 #include "geo/drive_trace.hpp"
 #include "geo/scaled_route.hpp"
 #include "measure/passive_logger.hpp"
@@ -58,26 +58,17 @@ int main() {
   // serially afterwards. Each arm builds its own Deployment from the same
   // fork (Rng::fork is const and repeatable), keeping arms share-nothing.
   std::array<TechShares, radio::kCarrierCount*(kProfiles + 1)> results{};
-  std::vector<core::ThreadPool::Task> tasks;
-  for (radio::Carrier c : radio::kAllCarriers) {
-    const std::size_t ci = measure::carrier_index(c);
-    tasks.push_back([&, c, ci] {
-      radio::Deployment dep{view, c, root.fork(radio::carrier_name(c))};
-      results[ci * (kProfiles + 1)] = passive_coverage(
-          dep, route, cfg.scale, ran::TrafficProfile::BackloggedDownlink,
-          root.fork("truth", static_cast<std::uint64_t>(c)));
-    });
-    for (std::size_t pi = 0; pi < kProfiles; ++pi) {
-      tasks.push_back([&, c, ci, pi] {
-        radio::Deployment dep{view, c, root.fork(radio::carrier_name(c))};
-        results[ci * (kProfiles + 1) + 1 + pi] = passive_coverage(
-            dep, route, cfg.scale, profiles[pi].profile,
-            root.fork(profiles[pi].name, static_cast<std::uint64_t>(c)));
-      });
-    }
-  }
-  core::ThreadPool pool{core::resolve_threads(0) - 1};
-  pool.run_batch(std::move(tasks));
+  core::parallel_for(0, results.size(), [&](std::size_t i) {
+    const radio::Carrier c = radio::kAllCarriers[i / (kProfiles + 1)];
+    const std::size_t arm = i % (kProfiles + 1);  // 0 = truth, then profiles
+    radio::Deployment dep{view, c, root.fork(radio::carrier_name(c))};
+    results[i] = passive_coverage(
+        dep, route, cfg.scale,
+        arm == 0 ? ran::TrafficProfile::BackloggedDownlink
+                 : profiles[arm - 1].profile,
+        root.fork(arm == 0 ? "truth" : profiles[arm - 1].name,
+                  static_cast<std::uint64_t>(c)));
+  });
 
   Table t({"carrier", "logger traffic", "5G share seen", "hi-speed share",
            "bias vs backlogged-DL"});

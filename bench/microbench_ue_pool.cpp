@@ -7,7 +7,6 @@
 
 #include <memory>
 
-#include "core/thread_pool.hpp"
 #include "geo/route.hpp"
 #include "geo/scaled_route.hpp"
 #include "radio/deployment.hpp"
@@ -36,12 +35,10 @@ void BM_UePoolTick(benchmark::State& state) {
   cfg.count = population;
   cfg.scheduler = kind;
   ran::UePool pool{dep, view.total_physical_km(), cfg, Rng{42}};
-  // threads counts participants; the calling thread is one of them.
-  core::ThreadPool workers{threads - 1};
 
   SimMillis t = 0;
   for (auto _ : state) {
-    pool.tick(t, threads > 1 ? &workers : nullptr);
+    pool.tick(t, threads);
     t += 500;
   }
   state.SetItemsProcessed(state.iterations() *

@@ -5,9 +5,35 @@
 #include <vector>
 
 #include "analysis/stats.hpp"
-#include "core/thread_pool.hpp"
+#include "core/parallel.hpp"
 
 namespace wheels::analysis {
+
+ConfidenceInterval percentile_interval(
+    double point, double level, int iterations, int threads,
+    const std::function<double(std::size_t)>& draw) {
+  if (iterations < 1) {
+    throw std::invalid_argument{"bootstrap: iterations must be >= 1"};
+  }
+  if (level <= 0.0 || level >= 1.0) {
+    throw std::invalid_argument{"bootstrap: level must be in (0,1)"};
+  }
+  std::vector<double> stats(static_cast<std::size_t>(iterations));
+  core::parallel_for(threads, stats.size(),
+                     [&](std::size_t it) { stats[it] = draw(it); });
+  std::sort(stats.begin(), stats.end());
+  const double alpha = (1.0 - level) / 2.0;
+  const auto idx = [&](double q) {
+    return stats[static_cast<std::size_t>(
+        std::clamp(q * static_cast<double>(stats.size() - 1), 0.0,
+                   static_cast<double>(stats.size() - 1)))];
+  };
+  ConfidenceInterval ci;
+  ci.point = point;
+  ci.lo = idx(alpha);
+  ci.hi = idx(1.0 - alpha);
+  return ci;
+}
 
 ConfidenceInterval bootstrap_ci(
     std::span<const double> samples,
@@ -16,56 +42,21 @@ ConfidenceInterval bootstrap_ci(
   if (samples.empty()) {
     throw std::invalid_argument{"bootstrap_ci: empty sample set"};
   }
-  if (level <= 0.0 || level >= 1.0) {
-    throw std::invalid_argument{"bootstrap_ci: level must be in (0,1)"};
-  }
-
-  ConfidenceInterval ci;
-  ci.point = statistic(samples);
-
-  const auto n = samples.size();
-  std::vector<double> stats(static_cast<std::size_t>(iterations));
   // One child stream per iteration: stats[it] depends only on (base, it),
-  // never on which worker computed it or in what order, so the CI is
+  // never on which thread computed it or in what order, so the CI is
   // identical for every thread count.
   const Rng base{rng.next_u64()};
-  auto run_range = [&](int lo, int hi) {
-    std::vector<double> resample(n);
-    for (int it = lo; it < hi; ++it) {
-      Rng r = base.fork("resample", static_cast<std::uint64_t>(it));
-      for (std::size_t i = 0; i < n; ++i) {
-        resample[i] = samples[static_cast<std::size_t>(
-            r.uniform_int(0, static_cast<int>(n) - 1))];
-      }
-      stats[static_cast<std::size_t>(it)] = statistic(resample);
-    }
-  };
-
-  const int width =
-      std::min(core::resolve_threads(threads), std::max(iterations, 1));
-  if (width <= 1) {
-    run_range(0, iterations);
-  } else {
-    std::vector<core::ThreadPool::Task> tasks;
-    tasks.reserve(static_cast<std::size_t>(width));
-    const int chunk = (iterations + width - 1) / width;
-    for (int lo = 0; lo < iterations; lo += chunk) {
-      const int hi = std::min(lo + chunk, iterations);
-      tasks.push_back([&run_range, lo, hi] { run_range(lo, hi); });
-    }
-    core::ThreadPool pool{width - 1};
-    pool.run_batch(std::move(tasks));
-  }
-  std::sort(stats.begin(), stats.end());
-  const double alpha = (1.0 - level) / 2.0;
-  const auto idx = [&](double q) {
-    return stats[static_cast<std::size_t>(
-        std::clamp(q * static_cast<double>(stats.size() - 1), 0.0,
-                   static_cast<double>(stats.size() - 1)))];
-  };
-  ci.lo = idx(alpha);
-  ci.hi = idx(1.0 - alpha);
-  return ci;
+  const auto n = samples.size();
+  return percentile_interval(
+      statistic(samples), level, iterations, threads, [&](std::size_t it) {
+        Rng r = base.fork("resample", it);
+        std::vector<double> resample(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          resample[i] = samples[static_cast<std::size_t>(
+              r.uniform_int(0, static_cast<int>(n) - 1))];
+        }
+        return statistic(resample);
+      });
 }
 
 ConfidenceInterval bootstrap_median_ci(std::span<const double> samples,

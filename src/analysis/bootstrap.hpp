@@ -5,6 +5,7 @@
 // standard percentile bootstrap over resampled datasets.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <span>
 
@@ -36,6 +37,16 @@ ConfidenceInterval bootstrap_ci(
     std::span<const double> samples,
     const std::function<double(std::span<const double>)>& statistic, Rng& rng,
     double level = 0.95, int iterations = 1000, int threads = 1);
+
+/// The percentile-bootstrap core behind bootstrap_ci and every other
+/// resampling CI: stats[it] = draw(it) for it in [0, iterations), fanned
+/// `threads` wide (draw must be a pure function of `it`, safe to call
+/// concurrently), sorted, and the two-sided `level` interval read off around
+/// `point`. Throws std::invalid_argument when iterations < 1 or `level` is
+/// outside (0, 1).
+ConfidenceInterval percentile_interval(
+    double point, double level, int iterations, int threads,
+    const std::function<double(std::size_t)>& draw);
 
 /// Convenience: CI of the median.
 ConfidenceInterval bootstrap_median_ci(std::span<const double> samples,

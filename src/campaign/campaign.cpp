@@ -17,7 +17,7 @@
 #include "core/env.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
-#include "core/thread_pool.hpp"
+#include "core/parallel.hpp"
 #include "geo/drive_trace.hpp"
 #include "measure/csv_export.hpp"
 #include "geo/scaled_route.hpp"
@@ -143,8 +143,9 @@ struct CarrierContext {
 // one ping test, one app collection, one static battery). For each segment
 // the coordinator thread opens the test records and advances the shared
 // drive trace, then fans the three carrier pipelines — computationally
-// independent by construction — across the worker pool, and finally merges
-// their record shards into the ConsolidatedDb in canonical carrier order.
+// independent by construction — out with core::parallel_for, and finally
+// merges their record shards into the ConsolidatedDb in canonical carrier
+// order.
 // With threads=1 the identical per-carrier closures run inline in carrier
 // order, which is why the parallel database is byte-identical to the serial
 // one (the determinism gate in test_campaign_parallel.cpp).
@@ -157,7 +158,7 @@ class CampaignRunner {
         view_(route_, cfg.scale),
         fleet_(net::ServerFleet::standard(route_)),
         trace_gen_(route_, make_trace_config(cfg), root_.fork("trace")),
-        pool_(carrier_workers(cfg.threads, cfg.population)) {
+        threads_(core::resolve_threads(cfg.threads)) {
     for (Carrier c : radio::kAllCarriers) {
       auto& ctx = contexts_[measure::carrier_index(c)];
       ctx.carrier = c;
@@ -214,16 +215,6 @@ class CampaignRunner {
     return tc;
   }
 
-  /// The inner fan-out is at most kCarrierCount wide and the coordinator
-  /// thread drains batches too, so kCarrierCount - 1 workers saturate it —
-  /// unless a UE population is simulated, whose block fan-out (ran::UePool)
-  /// is far wider than three and reuses this pool on the coordinator.
-  static int carrier_workers(int requested, int population) {
-    const int threads = core::resolve_threads(requested);
-    if (population > 0) return threads - 1;
-    return std::min(threads, static_cast<int>(radio::kCarrierCount)) - 1;
-  }
-
   /// Advance the van by one tick. The sample joins the passive backlog
   /// (flushed to the per-carrier passive loggers at the next fan-out) and
   /// first arrivals in a city queue a static battery for the next segment
@@ -256,40 +247,30 @@ class CampaignRunner {
     return ticks;
   }
 
-  /// Fan `fn(ctx)` across the carriers (worker pool if available, inline in
-  /// carrier order otherwise), then merge every carrier's shard into the db
-  /// in canonical carrier order. Each worker first flushes the pending
-  /// passive backlog to its own passive logger, so passive logs see every
-  /// sample exactly once, in production order.
+  /// Fan `fn(ctx)` across the carriers (inline in carrier order at one
+  /// thread), then merge every carrier's shard into the db in canonical
+  /// carrier order. Each carrier first flushes the pending passive backlog
+  /// to its own passive logger, so passive logs see every sample exactly
+  /// once, in production order.
   template <typename Fn>
   void parallel_carriers(Fn&& fn) {
     const std::vector<DriveSample> backlog = std::move(pending_passive_);
     pending_passive_.clear();
     // The UE pools advance on the coordinator, one pool at a time, each tick
-    // fanning its UE blocks across the full pool — run_batch admits one
-    // batch at a time, so the population tick must not nest inside the
-    // carrier fan-out below. The measurement phones therefore see the
-    // population's contention frozen at segment granularity (documented in
+    // fanning its UE blocks across the executor, before the carrier fan-out
+    // below. The measurement phones therefore see the population's
+    // contention frozen at segment granularity (documented in
     // docs/SCALING.md).
     if (cfg_.population > 0) {
       for (const DriveSample& s : backlog) {
-        for (auto& ctx : contexts_) ctx.ue_pool->tick(s.t, &pool_);
+        for (auto& ctx : contexts_) ctx.ue_pool->tick(s.t, threads_);
       }
     }
-    auto work = [&](CarrierContext& ctx) {
+    core::parallel_for(threads_, contexts_.size(), [&](std::size_t ci) {
+      CarrierContext& ctx = contexts_[ci];
       for (const DriveSample& s : backlog) ctx.passive->tick(s);
       fn(ctx);
-    };
-    // With zero workers run_batch executes the tasks inline in submission
-    // (= carrier) order, so one code path serves both modes — and the pool's
-    // deterministic counters (pool.batches, pool.tasks_run) see the same
-    // batches whatever the thread count.
-    std::vector<core::ThreadPool::Task> tasks;
-    tasks.reserve(contexts_.size());
-    for (auto& ctx : contexts_) {
-      tasks.push_back([&work, &ctx] { work(ctx); });
-    }
-    pool_.run_batch(std::move(tasks));
+    });
     for (auto& ctx : contexts_) {
       measure::merge_shard_into(db_, ctx.shard);
     }
@@ -977,7 +958,7 @@ class CampaignRunner {
   /// Cities reached but whose static battery has not run yet.
   std::deque<std::size_t> pending_cities_;
   SimMillis last_t_ = 0;
-  core::ThreadPool pool_;
+  int threads_;
 };
 
 }  // namespace

@@ -2,22 +2,9 @@
 
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
-#include "core/thread_pool.hpp"
+#include "core/parallel.hpp"
 
 namespace wheels::campaign {
-
-void run_indexed(int threads, std::size_t jobs,
-                 const std::function<void(std::size_t)>& job) {
-  std::vector<core::ThreadPool::Task> tasks;
-  tasks.reserve(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) {
-    tasks.push_back([&job, i] { job(i); });
-  }
-  // The calling thread drains the batch too, so `threads` jobs run
-  // concurrently with a pool of threads - 1 workers.
-  core::ThreadPool pool{core::resolve_threads(threads) - 1};
-  pool.run_batch(std::move(tasks));
-}
 
 FleetRunner::FleetRunner(int threads)
     : threads_(core::resolve_threads(threads)) {}
@@ -29,16 +16,17 @@ std::vector<measure::ConsolidatedDb> FleetRunner::run_all(
 
   // Each job writes only its own slot, so no lock is needed; the slot index
   // pins results to submission order whatever the completion order is.
-  run_indexed(threads_, configs.size(), [&results, &configs](std::size_t i) {
-    core::obs::ScopedSpan job_span{"fleet.job", "campaign"};
-    static const core::obs::Counter jobs{"campaign.fleet.jobs"};
-    jobs.add();
-    CampaignConfig cfg = configs[i];
-    // All parallelism lives at the fleet level; the inner serial path
-    // produces the identical database (campaign.hpp).
-    cfg.threads = 1;
-    results[i] = DriveCampaign{cfg}.run();
-  });
+  core::parallel_for(
+      threads_, configs.size(), [&results, &configs](std::size_t i) {
+        core::obs::ScopedSpan job_span{"fleet.job", "campaign"};
+        static const core::obs::Counter jobs{"campaign.fleet.jobs"};
+        jobs.add();
+        CampaignConfig cfg = configs[i];
+        // All parallelism lives at the fleet level; the inner serial path
+        // produces the identical database (campaign.hpp).
+        cfg.threads = 1;
+        results[i] = DriveCampaign{cfg}.run();
+      });
   return results;
 }
 

@@ -2,8 +2,10 @@
 //
 // The ablation and bootstrap benches run many *independent* campaigns —
 // different seeds, scenario overrides, scales. FleetRunner fans those
-// (seed, CampaignConfig) jobs across a work-stealing thread pool
-// (core::ThreadPool) and returns the databases in submission order.
+// (seed, CampaignConfig) jobs across the process-wide executor
+// (core::parallel_for) and returns the databases in submission order: each
+// job writes only its own pre-allocated result slot, the same discipline
+// replay::ReplayFleet follows.
 //
 // Because a campaign's ConsolidatedDb is invariant to its own thread count
 // (see campaign.hpp), FleetRunner forces every inner campaign to the serial
@@ -12,25 +14,11 @@
 // output byte.
 #pragma once
 
-#include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "campaign/campaign.hpp"
 
 namespace wheels::campaign {
-
-/// Slot-ordered fan-out: run `job(i)` for every i in [0, jobs) across a
-/// work-stealing pool `threads` wide (0 = auto: WHEELS_THREADS, else
-/// hardware_concurrency; the calling thread participates, so `threads` jobs
-/// run concurrently). Blocks until every job completed.
-///
-/// This is the deterministic-fleet discipline shared by FleetRunner and
-/// replay::ReplayFleet: each job writes only its own pre-allocated result
-/// slot, so no lock is needed and downstream merges that read the slots in
-/// index order produce identical output for every thread count.
-void run_indexed(int threads, std::size_t jobs,
-                 const std::function<void(std::size_t)>& job);
 
 class FleetRunner {
  public:

@@ -69,8 +69,10 @@ MetricsRegistry::MetricsRegistry() : uid_(next_registry_uid()) {}
 MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Never destroyed: the std::atexit flush (flush_at_exit) and executor
+  // workers may still reach it after static destruction has begun.
+  static MetricsRegistry* const registry = new MetricsRegistry;
+  return *registry;
 }
 
 MetricsRegistry::Shard& MetricsRegistry::local_shard() const {

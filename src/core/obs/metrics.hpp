@@ -55,6 +55,7 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// The process-wide registry every instrumentation hook reports to.
+  /// Never destroyed, so the at-exit flush can still read it.
   static MetricsRegistry& global();
 
   /// Id of the named counter (created on first use).
@@ -94,8 +95,8 @@ class MetricsRegistry {
   /// still running (each shard is merged under its own lock) — a mid-run
   /// snapshot is a consistent progress view. For an *exact* total, call
   /// after the concurrent work has joined (e.g. after DriveCampaign::run
-  /// returned); a batch completion on core::ThreadPool establishes the
-  /// needed happens-before edge.
+  /// returned); the return of core::parallel_for establishes the needed
+  /// happens-before edge.
   Snapshot snapshot() const;
 
   /// Zero every shard's totals (the name table survives, ids stay valid).

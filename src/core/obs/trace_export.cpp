@@ -46,15 +46,14 @@ int trace_thread_id() {
 }
 
 TraceCollector& TraceCollector::global() {
-  static TraceCollector collector;
-  static const bool env_enabled = [] {
-    if (std::getenv("WHEELS_TRACE_OUT") != nullptr) {
-      collector.set_enabled(true);
-    }
-    return true;
+  // Never destroyed: the std::atexit flush (flush_at_exit) and executor
+  // workers may still reach it after static destruction has begun.
+  static TraceCollector* const collector = [] {
+    auto* c = new TraceCollector;
+    c->set_enabled(std::getenv("WHEELS_TRACE_OUT") != nullptr);
+    return c;
   }();
-  (void)env_enabled;
-  return collector;
+  return *collector;
 }
 
 void TraceCollector::record(std::string_view name, std::string_view category,

@@ -39,7 +39,8 @@ int trace_thread_id();
 class TraceCollector {
  public:
   /// Process-wide collector; enabled at construction iff WHEELS_TRACE_OUT is
-  /// set in the environment.
+  /// set in the environment. Never destroyed, so the at-exit flush can
+  /// still read it.
   static TraceCollector& global();
 
   TraceCollector() = default;

@@ -11,8 +11,8 @@
 // join_streams() is the core: each input is a *producer* that pushes its
 // point stream through the align/trim/resample sink chain, so a source
 // backed by a chunked file reader joins without its raw trace ever being
-// materialized. Sources may be sharded across a core::ThreadPool (one
-// worker per input file); the bundle is always assembled serially in
+// materialized. Sources may be sharded with core::parallel_for (one index
+// per input file); the bundle is always assembled serially in
 // canonical carrier order, so the output — manifest digest included — is
 // byte-identical at any thread count. join_traces() is the in-memory
 // wrapper over the same core.

@@ -6,7 +6,7 @@
 // (structure-of-arrays): position, velocity, traffic profile, per-tick
 // demand, transmit backlog, served-rate average, RRC idle counter and the
 // attached cell. One tick sweeps the arrays in fixed-size blocks fanned
-// across the core::ThreadPool, then runs one per-cell scheduler
+// out with core::parallel_for, then runs one per-cell scheduler
 // (ran/scheduler.hpp) per occupied cell to share the cell's capacity among
 // every attached UE — which turns cell load, contention and tier-policy
 // fairness into first-class simulated phenomena instead of a stochastic
@@ -27,7 +27,6 @@
 
 #include "core/rng.hpp"
 #include "core/sim_time.hpp"
-#include "core/thread_pool.hpp"
 #include "core/units.hpp"
 #include "radio/deployment.hpp"
 #include "ran/scheduler.hpp"
@@ -91,10 +90,10 @@ class UePool {
 
   void set_capacity_override(CapacityFn fn) { capacity_fn_ = std::move(fn); }
 
-  /// Advance the whole population by one tick at sim time `t`. `pool`
-  /// receives the block fan-out (its worker count never changes the result);
-  /// nullptr runs every block inline.
-  void tick(SimMillis t, core::ThreadPool* pool);
+  /// Advance the whole population by one tick at sim time `t`, fanning the
+  /// blocks `threads` wide (core::parallel_for; the width never changes the
+  /// result, and 1 runs every block inline).
+  void tick(SimMillis t, int threads);
 
   std::uint32_t size() const { return cfg_.count; }
   std::int64_t ticks() const { return tick_index_; }
@@ -141,8 +140,7 @@ class UePool {
                            SimMillis t, SchedulerScratch& scratch);
   void apply_block(std::uint32_t begin, std::uint32_t end, BlockStats& stats);
   void rebuild_members();
-  void run_blocks(core::ThreadPool* pool, std::size_t n_items,
-                  std::size_t block,
+  void run_blocks(int threads, std::size_t n_items, std::size_t block,
                   const std::function<void(std::uint32_t, std::uint32_t,
                                            std::uint32_t)>& fn);
 

@@ -6,8 +6,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/bootstrap.hpp"
 #include "analysis/report.hpp"
-#include "campaign/fleet_runner.hpp"
+#include "analysis/stats.hpp"
+#include "core/parallel.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
 #include "measure/csv_export.hpp"
@@ -65,44 +67,27 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 /// Percentile bootstrap of (median(cell) - median(base)) with independent
-/// resamples of both series per iteration. Mirrors bootstrap_ci's stream
-/// discipline (one child per iteration, stats sorted before the quantiles
-/// are read) so the CI is identical for every thread count.
+/// resamples of both series per iteration. Follows bootstrap_ci's stream
+/// discipline (one child pair per iteration) so the CI is identical for
+/// every thread count.
 analysis::ConfidenceInterval bootstrap_delta_ci(
     const std::vector<double>& cell, const std::vector<double>& base_xs,
     Rng& rng, double level, int iterations) {
-  analysis::ConfidenceInterval ci;
-  ci.point = analysis::median_of(cell) - analysis::median_of(base_xs);
-
-  std::vector<double> stats(static_cast<std::size_t>(iterations));
   const Rng base{rng.next_u64()};
-  std::vector<double> rc(cell.size());
-  std::vector<double> rb(base_xs.size());
-  const auto draw = [](Rng& r, const std::vector<double>& from,
-                       std::vector<double>& into) {
-    for (std::size_t i = 0; i < into.size(); ++i) {
-      into[i] = from[static_cast<std::size_t>(
+  const auto resampled_median = [](Rng r, const std::vector<double>& from) {
+    std::vector<double> into(from.size());
+    for (double& x : into) {
+      x = from[static_cast<std::size_t>(
           r.uniform_int(0, static_cast<int>(from.size()) - 1))];
     }
+    return analysis::median_of(std::move(into));
   };
-  for (int it = 0; it < iterations; ++it) {
-    Rng r_cell = base.fork("cell", static_cast<std::uint64_t>(it));
-    Rng r_base = base.fork("base", static_cast<std::uint64_t>(it));
-    draw(r_cell, cell, rc);
-    draw(r_base, base_xs, rb);
-    stats[static_cast<std::size_t>(it)] =
-        analysis::median_of(rc) - analysis::median_of(rb);
-  }
-  std::sort(stats.begin(), stats.end());
-  const double alpha = (1.0 - level) / 2.0;
-  const auto idx = [&](double q) {
-    return stats[static_cast<std::size_t>(
-        std::clamp(q * static_cast<double>(stats.size() - 1), 0.0,
-                   static_cast<double>(stats.size() - 1)))];
-  };
-  ci.lo = idx(alpha);
-  ci.hi = idx(1.0 - alpha);
-  return ci;
+  return analysis::percentile_interval(
+      analysis::median_of(cell) - analysis::median_of(base_xs), level,
+      iterations, 1, [&](std::size_t it) {
+        return resampled_median(base.fork("cell", it), cell) -
+               resampled_median(base.fork("base", it), base_xs);
+      });
 }
 
 transport::CcAlgo parse_cc(const std::string& text) {
@@ -270,7 +255,7 @@ FleetResult ReplayFleet::run(const std::vector<FleetItem>& items) const {
   const std::size_t jobs = items.size() * ncells;
   std::vector<DbSamples> samples(jobs);
   out.runs.resize(jobs);
-  campaign::run_indexed(config_.threads, jobs, [&](std::size_t j) {
+  core::parallel_for(config_.threads, jobs, [&](std::size_t j) {
     core::obs::ScopedSpan item_span{"replay.fleet.item", "replay"};
     static const core::obs::Counter runs{"replay.fleet.runs"};
     runs.add();
@@ -306,7 +291,7 @@ FleetResult ReplayFleet::run(const std::vector<FleetItem>& items) const {
   out.aggregate.resize(ncells);
   for (std::size_t ci = 0; ci < ncells; ++ci) out.aggregate[ci].cell = ci;
   constexpr std::size_t kPerCell = kCarriers * kFleetMetricCount;
-  campaign::run_indexed(
+  core::parallel_for(
       config_.threads, ncells * kPerCell, [&](std::size_t j) {
         const std::size_t ci = j / kPerCell;
         const std::size_t c = (j % kPerCell) / kFleetMetricCount;

@@ -4,7 +4,7 @@
 // scales — and campaign-wide claims (Tables 2-4 medians, counterfactual
 // deltas) only reproduce over many recordings at once. ReplayFleet is the
 // campaign::FleetRunner of the replay world: it fans (bundle, knob-cell)
-// work items across core::ThreadPool, runs each through ReplayCampaign, and
+// work items across core::parallel_for, runs each through ReplayCampaign, and
 // pools the per-bundle sample series into one fleet-level aggregate —
 // per-carrier medians with bootstrap CIs per knob cell, plus each cell's
 // delta against the all-recorded baseline.

@@ -18,7 +18,7 @@
 #include "core/env.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
-#include "core/thread_pool.hpp"
+#include "core/parallel.hpp"
 #include "geo/latlon.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
@@ -176,8 +176,7 @@ class ReplayRunner {
         root_(cfg.seed),
         route_(geo::Route::cross_country()),
         fleet_(net::ServerFleet::standard(route_)),
-        scale_(bundle.manifest.scale > 0.0 ? bundle.manifest.scale : 1.0),
-        pool_(carrier_workers(cfg.threads)) {
+        scale_(bundle.manifest.scale > 0.0 ? bundle.manifest.scale : 1.0) {
     const ConsolidatedDb& rec = bundle_.db;
     kpis_by_test_.reserve(rec.tests.size());
     for (const auto& k : rec.kpis) kpis_by_test_[k.test_id].push_back(&k);
@@ -225,13 +224,10 @@ class ReplayRunner {
     }
 
     std::array<ReplayShard, radio::kCarrierCount> shards;
-    std::vector<core::ThreadPool::Task> tasks;
-    tasks.reserve(radio::kCarrierCount);
-    for (Carrier c : radio::kAllCarriers) {
-      ReplayShard& shard = shards[measure::carrier_index(c)];
-      tasks.push_back([this, c, &shard] { replay_carrier(c, shard); });
-    }
-    pool_.run_batch(std::move(tasks));
+    core::parallel_for(cfg_.threads, shards.size(),
+                       [this, &shards](std::size_t ci) {
+                         replay_carrier(radio::kAllCarriers[ci], shards[ci]);
+                       });
     merge_ordered(shards, db_.kpis, [](ReplayShard& s) -> auto& {
       return s.kpis;
     });
@@ -257,11 +253,6 @@ class ReplayRunner {
   }
 
  private:
-  static int carrier_workers(int requested) {
-    const int threads = core::resolve_threads(requested);
-    return std::min(threads, static_cast<int>(radio::kCarrierCount)) - 1;
-  }
-
   /// The server a test of the given class talks to at `pos`. Clouds follow
   /// the recorded timezone split; the edge counterfactual picks the nearest
   /// Wavelength city (ignoring the metro-radius gate — the "what if edge
@@ -649,7 +640,6 @@ class ReplayRunner {
   std::unordered_map<std::uint32_t,
                      std::vector<const measure::LinkTickRecord*>>
       link_ticks_by_test_;
-  core::ThreadPool pool_;
 };
 
 }  // namespace

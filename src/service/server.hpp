@@ -2,12 +2,12 @@
 // the job scheduler and the result cache.
 //
 // Threading model: one accept thread, one connection thread per client, one
-// scheduler thread. The scheduler drains admitted jobs in waves through a
-// single core::ThreadPool (the pool's one-batch-at-a-time contract makes it
-// the pool's sole caller); each job runs its library entry point strictly
-// serially inside (threads = 1, the ReplayFleet discipline), so every
-// output byte is independent of how many jobs ran beside it — concurrent
-// submission is byte-identical to serial, at every WHEELS_THREADS.
+// scheduler thread. The scheduler drains admitted jobs in waves, each wave
+// one core::parallel_for call `threads` wide on the process-wide executor;
+// each job runs its library entry point strictly serially inside
+// (threads = 1, the ReplayFleet discipline), so every output byte is
+// independent of how many jobs ran beside it — concurrent submission is
+// byte-identical to serial, at every WHEELS_THREADS.
 //
 // Job lifecycle: submit → cache lookup (hit: Done instantly, the cached
 // bundle is the result) → bounded queue admission (full: rejected with
@@ -27,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/thread_pool.hpp"
 #include "service/cache.hpp"
 #include "service/config.hpp"
 #include "service/protocol.hpp"
@@ -97,7 +96,7 @@ class Server {
 
   ServerOptions options_;
   ResultCache cache_;
-  core::ThreadPool pool_;
+  int threads_;  // resolved wave width
 
   std::mutex mu_;
   std::condition_variable cv_;        // scheduler: work or stop

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <stdexcept>
+
 #include "analysis/bootstrap.hpp"
 #include "analysis/stats.hpp"
 #include "transport/tcp_flow.hpp"
@@ -131,6 +134,23 @@ TEST(Bootstrap, RejectsBadInput) {
                std::invalid_argument);
   const std::vector<double> xs{1.0, 2.0};
   EXPECT_THROW((void)analysis::bootstrap_median_ci(xs, rng, 1.5),
+               std::invalid_argument);
+}
+
+TEST(Bootstrap, ZeroIterationsThrowsAtEveryThreadCount) {
+  // Zero iterations leave no statistics to read a percentile from; that
+  // must be an argument error, not a read before an empty vector.
+  const std::vector<double> xs{1.0, 2.0, 3.0};
+  for (const int threads : {1, 4}) {
+    Rng rng{17};
+    EXPECT_THROW((void)analysis::bootstrap_median_ci(xs, rng, 0.95, 0, threads),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        (void)analysis::bootstrap_median_ci(xs, rng, 0.95, -3, threads),
+        std::invalid_argument);
+  }
+  EXPECT_THROW((void)analysis::percentile_interval(
+                   0.0, 0.95, 0, 1, [](std::size_t) { return 0.0; }),
                std::invalid_argument);
 }
 

@@ -11,7 +11,7 @@
 #include "analysis/bootstrap.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/fleet_runner.hpp"
-#include "core/thread_pool.hpp"
+#include "core/parallel.hpp"
 #include "measure/records.hpp"
 
 namespace wheels {
@@ -247,30 +247,19 @@ TEST(FleetRunnerTest, SubmissionOrderPinsResultOrder) {
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  core::ThreadPool pool{3};
-  EXPECT_EQ(pool.workers(), 3);
   std::vector<int> hits(64, 0);
   for (int round = 0; round < 5; ++round) {
-    std::vector<core::ThreadPool::Task> tasks;
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      tasks.push_back([&hits, i] { ++hits[i]; });  // distinct slots: no race
-    }
-    pool.run_batch(std::move(tasks));
+    // Distinct slots: no race.
+    core::parallel_for(4, hits.size(), [&hits](std::size_t i) { ++hits[i]; });
   }
   for (const int h : hits) EXPECT_EQ(h, 5);
 }
 
 TEST(ThreadPoolTest, ZeroWorkersRunsInlineInOrder) {
-  core::ThreadPool pool{0};
-  EXPECT_EQ(pool.workers(), 0);
-  std::vector<int> order;
-  std::vector<core::ThreadPool::Task> tasks;
-  for (int i = 0; i < 8; ++i) {
-    tasks.push_back([&order, i] { order.push_back(i); });
-  }
-  pool.run_batch(std::move(tasks));
+  std::vector<std::size_t> order;
+  core::parallel_for(1, 8, [&order](std::size_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(ThreadPoolTest, ResolveThreadsFloorsAtOne) {

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "core/obs/manifest.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
+#include "ingest/join.hpp"
+#include "replay/fleet.hpp"
 
 namespace wheels::core::obs {
 namespace {
@@ -231,6 +234,75 @@ TEST(RunManifest_, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
   EXPECT_EQ(hex64(0xcbf29ce484222325ull), "cbf29ce484222325");
+}
+
+/// The deterministic view of the global registry after `run(threads)`.
+template <typename Run>
+std::string deterministic_snapshot(const Run& run, int threads) {
+  MetricsRegistry::global().reset();
+  run(threads);
+  std::string json = MetricsRegistry::global().snapshot().to_json(false);
+  MetricsRegistry::global().reset();
+  return json;
+}
+
+/// A short single-carrier trace; `variant` shifts and perturbs the series.
+std::vector<ingest::TracePoint> trace_points(int variant) {
+  std::vector<ingest::TracePoint> points;
+  for (int i = 0; i < 12; ++i) {
+    ingest::TracePoint p;
+    p.t = 1000 * variant + 500 * i;
+    p.cap_dl_mbps = 30.0 + 5.0 * ((i + variant) % 4);
+    p.cap_ul_mbps = 4.0 + (i + variant) % 3;
+    p.rtt_ms = 40.0 + 3.0 * ((i * (variant + 1)) % 5);
+    points.push_back(p);
+  }
+  return points;
+}
+
+TEST(ObsDeterminism, ReplayFleetSnapshotIdenticalAcrossThreadCounts) {
+  const std::vector<replay::ReplayBundle> bundles{
+      ingest::build_bundle({trace_points(1)}, radio::Carrier::Verizon, {}),
+      ingest::build_bundle({trace_points(2)}, radio::Carrier::Att, {})};
+  const std::vector<replay::FleetItem> items{{"a", &bundles[0]},
+                                             {"b", &bundles[1]}};
+  const auto run = [&items](int threads) {
+    replay::FleetConfig cfg;
+    cfg.threads = threads;
+    cfg.ci_iterations = 40;
+    replay::apply_grid_axis(cfg.grid, "cc=bbr");  // + the recorded baseline
+    const replay::ReplayFleet fleet{cfg};
+    ASSERT_EQ(fleet.cells().size(), 2u);
+    (void)fleet.run(items);
+  };
+  const std::string serial = deterministic_snapshot(run, 1);
+  EXPECT_NE(serial.find("replay.fleet.runs"), std::string::npos);
+  EXPECT_NE(serial.find("pool.tasks_run"), std::string::npos);
+  EXPECT_EQ(serial, deterministic_snapshot(run, 4));
+}
+
+TEST(ObsDeterminism, JoinSnapshotIdenticalAcrossThreadCounts) {
+  const auto run = [](int threads) {
+    std::vector<ingest::StreamSource> sources;
+    for (const radio::Carrier c : radio::kAllCarriers) {
+      const int variant = static_cast<int>(c) + 1;
+      ingest::StreamSource source;
+      source.carrier = c;
+      source.name = "trace-" + std::to_string(variant);
+      source.produce = [variant](ingest::PointSink& sink) {
+        const std::vector<ingest::TracePoint> points = trace_points(variant);
+        sink.on_run(points);
+        sink.finish();
+      };
+      sources.push_back(std::move(source));
+    }
+    ingest::JoinOptions join;
+    join.trim_to_overlap = true;
+    (void)ingest::join_streams(std::move(sources), join, {}, threads);
+  };
+  const std::string serial = deterministic_snapshot(run, 1);
+  EXPECT_NE(serial.find("pool.tasks_run"), std::string::npos);
+  EXPECT_EQ(serial, deterministic_snapshot(run, 4));
 }
 
 TEST(ObsSinks, FlushWritesMetricsAndTraceFiles) {

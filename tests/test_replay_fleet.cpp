@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -153,7 +154,7 @@ FleetConfig small_fleet_config(int threads) {
 }
 
 /// Three distinct tiny external-trace bundles — cheap enough for the TSan
-/// smoke filter while still exercising the two run_indexed fan-outs.
+/// smoke filter while still exercising both fleet fan-out phases.
 const std::vector<ReplayBundle>& tiny_bundles() {
   static const std::vector<ReplayBundle> bundles = [] {
     std::vector<ReplayBundle> out;
@@ -240,6 +241,16 @@ TEST(ReplayFleetTest, TinyFleetCsvIsByteIdenticalAcrossThreadCounts) {
     const std::size_t prev = line.rfind(',', last - 1);
     const std::string delta = line.substr(prev + 1, last - prev - 1);
     EXPECT_TRUE(delta.empty() || delta == "0") << line;
+  }
+}
+
+TEST(ReplayFleetTest, ZeroCiIterationsThrowsAtEveryThreadCount) {
+  for (const int threads : {1, 4}) {
+    FleetConfig cfg = small_fleet_config(threads);
+    cfg.ci_iterations = 0;
+    EXPECT_THROW((void)ReplayFleet{cfg}.run(tiny_items()),
+                 std::invalid_argument)
+        << "threads " << threads;
   }
 }
 

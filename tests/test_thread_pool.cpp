@@ -1,10 +1,22 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/env.hpp"
-#include "core/thread_pool.hpp"
+#include "core/obs/metrics.hpp"
+#include "core/obs/trace_export.hpp"
+#include "core/parallel.hpp"
 
 namespace wheels::core {
 namespace {
@@ -95,17 +107,122 @@ TEST_F(ThreadPoolEnv, EnvDoubleParsesFullStringOnly) {
   }
 }
 
+/// Runs `fn` under parallel_for and returns the distinct trace_thread_id()
+/// values the indices ran on.
+std::set<int> threads_seen(int threads, std::size_t n,
+                           const std::function<void(std::size_t)>& fn) {
+  std::mutex mu;
+  std::set<int> ids;
+  parallel_for(threads, n, [&](std::size_t i) {
+    fn(i);
+    std::lock_guard lk{mu};
+    ids.insert(obs::trace_thread_id());
+  });
+  return ids;
+}
+
 TEST_F(ThreadPoolEnv, PoolHonoursResolvedCountUnderEnv) {
   setenv("WHEELS_THREADS", "2", 1);
-  ThreadPool pool{resolve_threads(0)};
-  EXPECT_EQ(pool.workers(), 2);
+  EXPECT_EQ(resolve_threads(0), 2);
   std::vector<int> hits(16, 0);
-  std::vector<ThreadPool::Task> tasks;
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    tasks.push_back([&hits, i] { ++hits[i]; });
-  }
-  pool.run_batch(std::move(tasks));
+  const std::set<int> ids =
+      threads_seen(0, hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 2u);
   for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0u, 1u, 3u, 1000u}) {
+    for (const int threads : {1, 2, 8}) {
+      std::vector<int> hits(n, 0);  // distinct slots: no race
+      parallel_for(threads, n, [&hits](std::size_t i) { ++hits[i]; });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i], 1) << "n " << n << " threads " << threads
+                              << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, NestedCallsComplete) {
+  std::vector<int> hits(16, 0);
+  parallel_for(4, 4, [&hits](std::size_t outer) {
+    parallel_for(4, 4, [&hits, outer](std::size_t inner) {
+      ++hits[outer * 4 + inner];
+    });
+  });
+  for (const int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelFor, ConcurrentCallersBothComplete) {
+  std::vector<int> a(500, 0);
+  std::vector<int> b(500, 0);
+  std::thread other{
+      [&a] { parallel_for(4, a.size(), [&a](std::size_t i) { ++a[i]; }); }};
+  parallel_for(4, b.size(), [&b](std::size_t i) { ++b[i]; });
+  other.join();
+  for (const int h : a) EXPECT_EQ(h, 1);
+  for (const int h : b) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelFor, RethrowsLowestThrowingIndexAtEveryWidth) {
+  for (const int threads : {1, 2, 4, 8}) {
+    try {
+      parallel_for(threads, 64, [](std::size_t i) {
+        if (i == 41 || i == 7 || i == 63) {
+          throw std::runtime_error{std::to_string(i)};
+        }
+      });
+      ADD_FAILURE() << "no exception at threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "7") << "threads " << threads;
+    }
+  }
+}
+
+TEST(ParallelFor, ReusesWorkerThreadsAcrossCalls) {
+  std::set<int> ids;
+  for (int call = 0; call < 50; ++call) {
+    const std::set<int> seen = threads_seen(4, 64, [](std::size_t) {});
+    ids.insert(seen.begin(), seen.end());
+  }
+  EXPECT_LE(ids.size(), 4u);
+}
+
+// Worker threads do not survive fork(); a forked child must still fan out
+// instead of silently running every wide call on its one thread. Kept out of
+// the tsan_smoke filter: ThreadSanitizer does not support threads started
+// after a multi-threaded fork.
+TEST(ParallelForFork, ChildSpawnsItsOwnWorkers) {
+  (void)threads_seen(4, 64, [](std::size_t) {});  // parent has workers now
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const auto slow = [](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    };
+    _exit(threads_seen(4, 64, slow).size() > 1 ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(ParallelFor, CountsOneBatchAndEveryIndexAtEveryWidth) {
+  const auto counter = [](const char* name) {
+    const auto snap = obs::MetricsRegistry::global().snapshot();
+    const std::uint64_t* v = snap.find_counter(name);
+    return v != nullptr ? *v : 0;
+  };
+  for (const int threads : {1, 4}) {
+    const std::uint64_t batches = counter("pool.batches");
+    const std::uint64_t tasks = counter("pool.tasks_run");
+    parallel_for(threads, 10, [](std::size_t) {});
+    EXPECT_EQ(counter("pool.batches"), batches + 1) << "threads " << threads;
+    EXPECT_EQ(counter("pool.tasks_run"), tasks + 10) << "threads " << threads;
+  }
 }
 
 }  // namespace

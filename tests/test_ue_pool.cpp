@@ -13,7 +13,6 @@
 
 #include "campaign/campaign.hpp"
 #include "core/rng.hpp"
-#include "core/thread_pool.hpp"
 #include "geo/route.hpp"
 #include "geo/scaled_route.hpp"
 #include "measure/csv_export.hpp"
@@ -53,7 +52,7 @@ struct PoolFixture {
 TEST(UePoolTest, AllocationsRespectDemandAndCellLoadInvariants) {
   PoolFixture f{2000, ran::SchedulerKind::ProportionalFair};
   for (int t = 0; t < 200; ++t) {
-    f.pool.tick(t * 500, nullptr);
+    f.pool.tick(t * 500, 1);
   }
   const auto demand = f.pool.demand_mbps();
   const auto alloc = f.pool.alloc_mbps();
@@ -83,7 +82,7 @@ TEST(UePoolTest, AllocationsRespectDemandAndCellLoadInvariants) {
 
 TEST(UePoolTest, PopulationShareIsAValidFraction) {
   PoolFixture f{5000, ran::SchedulerKind::ProportionalFair};
-  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, nullptr);
+  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, 1);
   bool saw_contention = false;
   for (const auto& cell : f.deployment.cells()) {
     const double share = f.pool.population_share(cell.id);
@@ -100,10 +99,9 @@ TEST(UePoolTest, PopulationShareIsAValidFraction) {
 TEST(UePoolTest, DeterministicAcrossThreadCounts) {
   PoolFixture serial{3000, ran::SchedulerKind::ProportionalFair};
   PoolFixture threaded{3000, ran::SchedulerKind::ProportionalFair};
-  core::ThreadPool workers{3};
   for (int t = 0; t < 100; ++t) {
-    serial.pool.tick(t * 500, nullptr);
-    threaded.pool.tick(t * 500, &workers);
+    serial.pool.tick(t * 500, 1);
+    threaded.pool.tick(t * 500, 4);
   }
   const auto exact = [](std::span<const double> a, std::span<const double> b) {
     ASSERT_EQ(a.size(), b.size());
@@ -135,7 +133,7 @@ TEST(UePoolTest, CapacityOverrideIsConsumed) {
   // allocated no matter the demand.
   f.pool.set_capacity_override(
       [](const radio::CellSite&, SimMillis, Mbps) -> Mbps { return 0.0; });
-  for (int t = 0; t < 20; ++t) f.pool.tick(t * 500, nullptr);
+  for (int t = 0; t < 20; ++t) f.pool.tick(t * 500, 1);
   EXPECT_EQ(f.pool.totals().delivered_bytes, 0.0);
   for (const auto& c : f.pool.cell_load()) {
     EXPECT_EQ(c.avg_allocated, 0.0);
@@ -143,7 +141,7 @@ TEST(UePoolTest, CapacityOverrideIsConsumed) {
   }
   // ...while the same pool without the override delivers bytes.
   PoolFixture g{1000, ran::SchedulerKind::ProportionalFair};
-  for (int t = 0; t < 20; ++t) g.pool.tick(t * 500, nullptr);
+  for (int t = 0; t < 20; ++t) g.pool.tick(t * 500, 1);
   EXPECT_GT(g.pool.totals().delivered_bytes, 0.0);
 }
 
@@ -163,7 +161,7 @@ TEST(UePoolTest, TraceChannelDrivesRecordedCellCapacity) {
 
   f.pool.set_capacity_override(
       replay::population_capacity_from_trace(channel));
-  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, nullptr);
+  for (int t = 0; t < 50; ++t) f.pool.tick(t * 500, 1);
 
   for (const auto& c : f.pool.cell_load()) {
     if (c.cell_id == traced_cell) {
@@ -179,8 +177,8 @@ TEST(UePoolTest, RrAndPfProduceDifferentAllocations) {
   PoolFixture pf{4000, ran::SchedulerKind::ProportionalFair};
   PoolFixture rr{4000, ran::SchedulerKind::RoundRobin};
   for (int t = 0; t < 100; ++t) {
-    pf.pool.tick(t * 500, nullptr);
-    rr.pool.tick(t * 500, nullptr);
+    pf.pool.tick(t * 500, 1);
+    rr.pool.tick(t * 500, 1);
   }
   // Same population, same demand streams — only the discipline differs, and
   // it must show up in the allocations of at least one loaded cell.
