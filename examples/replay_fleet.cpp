@@ -9,8 +9,9 @@
 //                                         (seeds SEED..SEED+N-1), then sweep
 //                                         a cc x server grid over them
 //
-// Bundle specs ending in ".csv" go through the external per-tick trace
-// adapter (optionally "@carrier" picks the synthetic carrier); a directory
+// Bundle specs ending in ".csv" are ingested like ingest_trace --format auto
+// (any registered format; optionally "@carrier" picks the bundle's
+// carrier); a directory
 // that is not itself a bundle expands to its bundle subdirectories (the
 // layout synth_trace --out produces), and everything else is a dataset
 // directory. Grid values "recorded" keep a knob at its
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "ingest/ingest.hpp"
 #include "replay/fleet.hpp"
 #include "replay/replay_campaign.hpp"
 
@@ -128,11 +130,11 @@ int main(int argc, char** argv) {
         names.push_back("seed-" + std::to_string(cc.seed));
       }
     } else {
-      bundle_specs = replay::expand_fleet_specs(bundle_specs);
+      bundle_specs = ingest::expand_fleet_specs(bundle_specs);
       bundles.reserve(bundle_specs.size());
       for (const std::string& spec : bundle_specs) {
         std::cout << "Loading " << spec << "...\n";
-        bundles.push_back(replay::load_fleet_bundle(spec));
+        bundles.push_back(ingest::load_fleet_bundle(spec));
         names.push_back(spec);
       }
     }

@@ -115,7 +115,7 @@ core::obs::RunManifest make_manifest(const CampaignConfig& cfg) {
                   std::string{ran::scheduler_kind_name(cfg.scheduler)}.c_str());
     canonical += buf;
   }
-  m.config_digest = core::obs::hex64(core::obs::fnv1a64(canonical));
+  m.config_digest = core::obs::hex64(core::fnv1a64(canonical));
   return m;
 }
 

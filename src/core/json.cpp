@@ -1,6 +1,8 @@
 #include "core/json.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace wheels::core::json {
@@ -147,12 +149,28 @@ class Reader {
         break;
       }
     }
-    const std::string token{text_.substr(start, pos_ - start)};
+    const std::string_view token = text_.substr(start, pos_ - start);
     if (token.empty()) doc_.fail(line_, "expected a value");
+    // A plain integer decodes exactly; its double is the exact value
+    // rounded once, which is what strtod returns for the same token.
+    const bool negative = token.front() == '-';
+    const std::string_view digits = token.substr(negative ? 1 : 0);
+    if (!digits.empty() &&
+        digits.find_first_not_of("0123456789") == std::string_view::npos &&
+        std::from_chars(digits.data(), digits.data() + digits.size(),
+                        v.magnitude)
+                .ec == std::errc{}) {
+      v.integral = true;
+      v.negative = negative;
+      v.number = static_cast<double>(v.magnitude);
+      if (negative) v.number = -v.number;
+      return v;
+    }
+    const std::string owned{token};
     char* end = nullptr;
-    v.number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
-      doc_.fail(v.line, "malformed number '" + token + "'");
+    v.number = std::strtod(owned.c_str(), &end);
+    if (end != owned.c_str() + owned.size()) {
+      doc_.fail(v.line, "malformed number '" + owned + "'");
     }
     return v;
   }
@@ -208,6 +226,48 @@ bool Doc::flag(const Value& object, std::string_view key) const {
   return as(get(object, key), Value::Kind::Bool,
             "a boolean for \"" + std::string{key} + "\"")
       .boolean;
+}
+
+namespace {
+
+/// `v` after checking it is a Number; the integer accessors' shared preamble.
+const Value& integer_token(const Doc& doc, const Value& v,
+                           std::string_view key) {
+  return doc.as(v, Value::Kind::Number,
+                "an integer for \"" + std::string{key} + "\"");
+}
+
+[[noreturn]] void fail_range(const Doc& doc, const Value& v,
+                             std::string_view key, const std::string& lo,
+                             const std::string& hi) {
+  doc.fail(v.line, "\"" + std::string{key} + "\" must be an integer in [" +
+                       lo + ", " + hi + "]");
+}
+
+}  // namespace
+
+std::uint64_t Doc::u64(const Value& v, std::string_view key) const {
+  const Value& n = integer_token(*this, v, key);
+  if (!n.integral || (n.negative && n.magnitude != 0)) {
+    fail_range(*this, n, key, "0",
+               std::to_string(std::numeric_limits<std::uint64_t>::max()));
+  }
+  return n.magnitude;
+}
+
+std::int64_t Doc::i64(const Value& v, std::string_view key, std::int64_t lo,
+                      std::int64_t hi) const {
+  const Value& n = integer_token(*this, v, key);
+  // -2^63 is the one magnitude beyond INT64_MAX that fits.
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+      (n.negative ? 1 : 0);
+  const std::int64_t x = static_cast<std::int64_t>(
+      n.negative ? 0 - n.magnitude : n.magnitude);
+  if (!n.integral || n.magnitude > limit || x < lo || x > hi) {
+    fail_range(*this, n, key, std::to_string(lo), std::to_string(hi));
+  }
+  return x;
 }
 
 std::vector<double> Doc::doubles(const Value& v) const {

@@ -11,7 +11,8 @@
 // file at a time), so the message format cannot drift between callers.
 #pragma once
 
-#include <optional>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,6 +28,12 @@ struct Value {
   int line = 0;
   bool boolean = false;
   double number = 0.0;
+  /// Number only: the token was a plain integer (`-?[0-9]+`, no fraction or
+  /// exponent) whose magnitude fits 64 bits. Then `magnitude` and
+  /// `negative` hold it exactly, and `number` is its nearest double.
+  bool integral = false;
+  bool negative = false;
+  std::uint64_t magnitude = 0;
   std::string text;                              // String
   std::vector<Value> items;                      // Array
   std::vector<std::pair<std::string, Value>> keys;  // Object, in input order
@@ -62,6 +69,15 @@ class Doc {
   double num(const Value& object, std::string_view key) const;
   std::string str(const Value& object, std::string_view key) const;
   bool flag(const Value& object, std::string_view key) const;
+
+  /// Exact integer decodes of a Number value; `key` names it in errors.
+  /// A fraction, an exponent or a value outside the range fails at the
+  /// value's line with "\"<key>\" must be an integer in [lo, hi]".
+  std::uint64_t u64(const Value& v, std::string_view key) const;
+  std::int64_t i64(
+      const Value& v, std::string_view key,
+      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
 
   /// Decode an array of numbers.
   std::vector<double> doubles(const Value& v) const;

@@ -1,13 +1,14 @@
 #include "core/obs/manifest.hpp"
 
-#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
+#include "core/json.hpp"
 #include "core/sim_time.hpp"
 
 namespace wheels::core::obs {
@@ -18,15 +19,6 @@ std::string library_version() {
 #else
   return "0.0.0";
 #endif
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 std::string hex64(std::uint64_t v) {
@@ -72,66 +64,23 @@ void write_manifest(const RunManifest& manifest, const std::string& path) {
   os << manifest.to_json() << '\n';
 }
 
-namespace {
-
-// to_json() emits a fixed flat schema, so the inverse is a keyed scan, not a
-// general JSON parser. Values never contain escaped quotes or commas.
-std::string_view raw_value(std::string_view json, const char* key) {
-  const std::string needle = std::string{"\""} + key + "\":";
-  const auto pos = json.find(needle);
-  if (pos == std::string_view::npos) {
-    throw std::runtime_error{std::string{"manifest: missing key \""} + key +
-                             "\""};
-  }
-  std::size_t start = pos + needle.size();
-  while (start < json.size() && json[start] == ' ') ++start;
-  std::size_t end = start;
-  while (end < json.size() && json[end] != ',' && json[end] != '\n' &&
-         json[end] != '}') {
-    ++end;
-  }
-  if (start == end) {
-    throw std::runtime_error{std::string{"manifest: empty value for \""} +
-                             key + "\""};
-  }
-  return json.substr(start, end - start);
-}
-
-std::string string_value(std::string_view json, const char* key) {
-  const std::string_view raw = raw_value(json, key);
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') {
-    throw std::runtime_error{std::string{"manifest: key \""} + key +
-                             "\" is not a string"};
-  }
-  return std::string{raw.substr(1, raw.size() - 2)};
-}
-
-template <typename Convert>
-auto number_value(std::string_view json, const char* key, Convert convert) {
-  const std::string text{raw_value(json, key)};
-  errno = 0;
-  char* end = nullptr;
-  const auto v = convert(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE) {
-    throw std::runtime_error{std::string{"manifest: malformed value for \""} +
-                             key + "\": '" + text + "'"};
-  }
-  return v;
-}
-
-}  // namespace
-
 RunManifest parse_manifest(std::string_view json) {
+  using core::json::Value;
+  const core::json::Doc doc{"manifest"};
+  const Value root = doc.parse(json);
+  doc.as(root, Value::Kind::Object, "a manifest object");
   RunManifest m;
-  m.seed = number_value(
-      json, "seed", [](const char* s, char** e) { return std::strtoull(s, e, 10); });
-  m.scale = number_value(
-      json, "scale", [](const char* s, char** e) { return std::strtod(s, e); });
-  m.config_digest = string_value(json, "config_digest");
-  m.threads = static_cast<int>(number_value(
-      json, "threads", [](const char* s, char** e) { return std::strtol(s, e, 10); }));
-  m.library_version = string_value(json, "library_version");
-  m.started_utc = string_value(json, "started_utc");
+  m.seed = doc.u64(doc.get(root, "seed"), "seed");
+  m.scale = doc.num(root, "scale");
+  if (!std::isfinite(m.scale)) {
+    doc.fail(doc.get(root, "scale").line, "\"scale\" must be finite");
+  }
+  m.config_digest = doc.str(root, "config_digest");
+  m.threads = static_cast<int>(doc.i64(doc.get(root, "threads"), "threads",
+                                       std::numeric_limits<int>::min(),
+                                       std::numeric_limits<int>::max()));
+  m.library_version = doc.str(root, "library_version");
+  m.started_utc = doc.str(root, "started_utc");
   return m;
 }
 

@@ -17,13 +17,16 @@
 #include <string>
 #include <string_view>
 
+#include "core/hash.hpp"
+
 namespace wheels::core::obs {
 
 struct RunManifest {
   std::uint64_t seed = 0;
   double scale = 0.0;
-  /// FNV-1a 64 digest (hex64()) of the producer's canonical config string —
-  /// two bundles with equal digest + seed came from identical configs.
+  /// core::fnv1a64 digest (hex64()) of the producer's canonical config
+  /// string — two bundles with equal digest + seed came from identical
+  /// configs.
   std::string config_digest;
   /// Resolved worker-thread count (informational; never affects the data).
   int threads = 0;
@@ -36,9 +39,6 @@ struct RunManifest {
 
 /// The wheels library version (CMake project version).
 std::string library_version();
-
-/// FNV-1a 64-bit over `bytes` — the config-digest hash.
-std::uint64_t fnv1a64(std::string_view bytes);
 
 /// Lower-case 16-hex-digit rendering.
 std::string hex64(std::uint64_t v);
@@ -61,8 +61,10 @@ void canonicalize_provenance(RunManifest& manifest);
 /// file cannot be opened.
 void write_manifest(const RunManifest& manifest, const std::string& path);
 
-/// Inverse of to_json() for the fixed schema above. Throws
-/// std::runtime_error naming the first missing or malformed key.
+/// Inverse of to_json(): any JSON object carrying the schema's keys (in any
+/// order and layout; other keys are ignored). Throws std::runtime_error
+/// "manifest: line N: ..." on malformed JSON or a missing, mistyped or
+/// out-of-range key.
 RunManifest parse_manifest(std::string_view json);
 
 /// Read and parse `path`. Throws std::runtime_error when the file cannot be

@@ -3,38 +3,23 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/hash.hpp"
+
 namespace wheels {
 
-namespace {
-
-// splitmix64 finaliser: decorrelates sequential / low-entropy seeds before
-// they reach the mt19937_64 state.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 std::uint64_t stable_hash(std::string_view text, std::uint64_t basis) {
-  std::uint64_t h = basis ^ 0xcbf29ce484222325ULL;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return core::fnv1a64(text, basis ^ core::kFnv1a64Basis);
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mix(seed)) {}
+Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(core::splitmix64(seed)) {}
 
 Rng Rng::fork(std::string_view label) const {
   return Rng{stable_hash(label, seed_)};
 }
 
 Rng Rng::fork(std::string_view label, std::uint64_t index) const {
-  return Rng{mix(stable_hash(label, seed_) + 0x9e3779b97f4a7c15ULL * (index + 1))};
+  return Rng{core::splitmix64(stable_hash(label, seed_) +
+                              0x9e3779b97f4a7c15ULL * (index + 1))};
 }
 
 std::uint64_t Rng::next_u64() { return engine_(); }

@@ -39,17 +39,6 @@ std::string render_schedule(const EmuTimeline& tl) {
   return out;
 }
 
-/// `key` of `object` as a non-negative integral count.
-long long integer_of(const core::json::Doc& doc,
-                     const core::json::Value& object, std::string_view key) {
-  const double v = doc.num(object, key);
-  if (!std::isfinite(v) || v != std::floor(v)) {
-    doc.fail(doc.get(object, key).line,
-             std::string{key} + " must be an integer");
-  }
-  return static_cast<long long>(v);
-}
-
 class JsonExporter final : public EmuExporter {
  public:
   std::string_view name() const override { return "json"; }
@@ -77,7 +66,7 @@ EmuTimeline parse_schedule_json(std::string_view text) {
   const core::json::Value root = doc.parse(text);
   doc.as(root, core::json::Value::Kind::Object, "an object");
 
-  const long long version = integer_of(doc, root, "version");
+  const std::int64_t version = doc.i64(doc.get(root, "version"), "version");
   if (version != 1) {
     doc.fail(doc.get(root, "version").line,
              "unsupported schedule version " + std::to_string(version) +
@@ -85,13 +74,13 @@ EmuTimeline parse_schedule_json(std::string_view text) {
   }
 
   EmuTimeline tl;
-  const long long tick = integer_of(doc, root, "tick_ms");
+  const std::int64_t tick = doc.i64(doc.get(root, "tick_ms"), "tick_ms");
   if (tick <= 0) {
     doc.fail(doc.get(root, "tick_ms").line, "tick_ms must be > 0");
   }
-  tl.tick_ms = static_cast<SimMillis>(tick);
-  if (doc.find(root, "start_ms") != nullptr) {
-    tl.start_ms = static_cast<SimMillis>(integer_of(doc, root, "start_ms"));
+  tl.tick_ms = tick;
+  if (const core::json::Value* start = doc.find(root, "start_ms")) {
+    tl.start_ms = doc.i64(*start, "start_ms");
   }
 
   const core::json::Value& ticks = doc.as(

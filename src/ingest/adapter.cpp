@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "ingest/adapters.hpp"
-#include "replay/trace_text.hpp"
+#include "ingest/trace_text.hpp"
 
 namespace wheels::ingest {
 
@@ -109,7 +109,7 @@ SniffInput sniff_file(const std::string& path, std::size_t max_lines) {
   }
   SniffInput input;
   input.path = path;
-  replay::TraceLineReader reader{is};
+  TraceLineReader reader{is};
   std::string line;
   while (input.head.size() < max_lines && reader.next(line)) {
     input.head.push_back(line);

@@ -20,7 +20,7 @@
 #include <utility>
 
 #include "ingest/adapters.hpp"
-#include "replay/trace_text.hpp"
+#include "ingest/trace_text.hpp"
 
 namespace wheels::ingest {
 
@@ -91,10 +91,9 @@ class MahimahiAdapter final : public TraceAdapter {
     bool have_window = false;
     while (lines.next_batch(batch)) {
       for (const LineRef& line : batch) {
-        const SimMillis t = replay::parse_trace_time_ms(line.text,
-                                                        line.number);
+        const SimMillis t = parse_trace_time_ms(line.text, line.number);
         if (t < last) {
-          replay::trace_fail(line.number, "time going backwards");
+          trace_fail(line.number, "time going backwards");
         }
         last = t;
         const SimMillis w = t / tick;
@@ -113,7 +112,7 @@ class MahimahiAdapter final : public TraceAdapter {
       }
     }
     if (!have_window) {
-      replay::trace_fail(lines.line_number(), "trace has no data rows");
+      trace_fail(lines.line_number(), "trace has no data rows");
     }
     emit_window(window, count);
     out.finish();

@@ -22,7 +22,7 @@
 #include "measure/enum_names.hpp"
 
 #include "ingest/adapters.hpp"
-#include "replay/trace_text.hpp"
+#include "ingest/trace_text.hpp"
 
 namespace wheels::ingest {
 
@@ -120,7 +120,7 @@ class PaperTablesAdapter final : public TraceAdapter {
       const std::size_t line_no = batch[row].number;
       ++row;
       if (text == kKpiHeader) csv_fail(line_no, "duplicated header");
-      replay::split_trace_row(text, cells);
+      split_trace_row(text, cells);
       if (cells.size() != kKpiColumns) {
         csv_fail(line_no, "expected " + std::to_string(kKpiColumns) +
                               " fields, got " +
@@ -133,7 +133,7 @@ class PaperTablesAdapter final : public TraceAdapter {
       Accumulator& acc = by_t[csv_i64(cells[1], line_no)];
       const auto direction =
           csv_enum(cells[17], line_no, measure::names::parse_direction);
-      const double throughput = replay::parse_trace_double(cells[9], line_no);
+      const double throughput = parse_trace_double(cells[9], line_no);
       if (direction == radio::Direction::Downlink) {
         acc.dl_sum += throughput;
         ++acc.dl_n;

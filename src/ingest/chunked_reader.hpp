@@ -24,7 +24,7 @@
 #include <string_view>
 #include <vector>
 
-#include "replay/trace_text.hpp"
+#include "ingest/trace_text.hpp"
 
 namespace wheels::ingest {
 
@@ -60,7 +60,7 @@ class LineSource {
 
   /// Physical 1-based line number of the last line handed out, or one past
   /// the final physical line once next_batch returned false — the same
-  /// end-of-input convention as replay::TraceLineReader.
+  /// end-of-input convention as TraceLineReader.
   virtual std::size_t line_number() const = 0;
 };
 
@@ -126,7 +126,7 @@ class IstreamLineSource final : public LineSource {
   std::size_t line_number() const override { return reader_.line_number(); }
 
  private:
-  replay::TraceLineReader reader_;
+  TraceLineReader reader_;
   std::size_t batch_lines_;
   std::vector<std::pair<std::string, std::size_t>> lines_;
   bool done_ = false;

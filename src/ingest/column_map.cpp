@@ -6,16 +6,12 @@
 
 #include "ingest/chunked_reader.hpp"
 #include "ingest/stream.hpp"
+#include "ingest/trace_text.hpp"
 #include "measure/enum_names.hpp"
-#include "replay/trace_text.hpp"
 
 namespace wheels::ingest {
 
 namespace {
-
-using replay::parse_trace_double;
-using replay::split_trace_row;
-using replay::trace_fail;
 
 constexpr std::size_t kMissing = static_cast<std::size_t>(-1);
 

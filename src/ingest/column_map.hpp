@@ -80,7 +80,7 @@ struct ColumnMap {
 
 /// Incrementally parse `lines` under `map`, emitting canonical points into
 /// `sink` (finishing it exactly once). Shares the strict trace dialect of
-/// replay/trace_text.hpp: '#' comments and blank lines are skipped without
+/// ingest/trace_text.hpp: '#' comments and blank lines are skipped without
 /// renumbering, CRLF is accepted, numbers parse full-string, and time must
 /// be strictly increasing after scaling (duplicates and backwards steps are
 /// rejected). Capacities must be >= 0 and RTTs > 0 after scaling. Throws

@@ -1,5 +1,6 @@
 #include "ingest/ingest.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -164,6 +165,63 @@ replay::ReplayBundle ingest_join(const std::string& format,
   }
   return join_streams(std::move(sources), join, options.resample,
                       options.threads);
+}
+
+FleetSpec parse_fleet_spec(const std::string& spec) {
+  FleetSpec out;
+  out.path = spec;
+  if (const std::size_t at = spec.rfind('@');
+      at != std::string::npos && at + 1 < spec.size()) {
+    out.carrier = measure::names::parse_carrier(spec.substr(at + 1));
+    out.path = spec.substr(0, at);
+  }
+  out.is_trace = out.path.size() >= 4 &&
+                 out.path.compare(out.path.size() - 4, 4, ".csv") == 0;
+  return out;
+}
+
+replay::ReplayBundle load_fleet_bundle(const std::string& spec) {
+  const FleetSpec parsed = parse_fleet_spec(spec);
+  if (!parsed.is_trace) return replay::read_dataset(parsed.path);
+  // Sniffed like ingest_trace --format auto. A CSV no adapter claims is read
+  // as "minimal", the fleet's original trace grammar: its column binding
+  // takes the columns in any order, and a bad header fails at line 1.
+  const SniffInput head = sniff_file(parsed.path);
+  const std::vector<const TraceAdapter*> adapters =
+      builtin_registry().adapters();
+  const bool claimed =
+      std::any_of(adapters.begin(), adapters.end(),
+                  [&](const TraceAdapter* a) { return a->sniff(head) > 0; });
+  IngestOptions options;
+  options.carrier = parsed.carrier;
+  return ingest_file(claimed ? "auto" : "minimal", parsed.path, options);
+}
+
+std::vector<std::string> expand_fleet_specs(
+    const std::vector<std::string>& specs) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> out;
+  for (const std::string& spec : specs) {
+    if (parse_fleet_spec(spec).is_trace || !fs::is_directory(spec) ||
+        fs::exists(fs::path{spec} / "manifest.json")) {
+      out.push_back(spec);
+      continue;
+    }
+    std::vector<std::string> children;
+    for (const fs::directory_entry& entry : fs::directory_iterator{spec}) {
+      if (entry.is_directory() &&
+          fs::exists(entry.path() / "manifest.json")) {
+        children.push_back(entry.path().string());
+      }
+    }
+    if (children.empty()) {
+      throw std::runtime_error{"fleet: " + spec +
+                               " contains no bundle directories"};
+    }
+    std::sort(children.begin(), children.end());
+    out.insert(out.end(), children.begin(), children.end());
+  }
+  return out;
 }
 
 }  // namespace wheels::ingest

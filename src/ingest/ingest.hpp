@@ -1,15 +1,15 @@
 // Top-level ingest API: file in, validated ReplayBundle out.
 //
 // The free functions here tie the subsystem together for callers (the
-// ingest_trace CLI, replay_dataset --import, tests): resolve an adapter from
-// the registry (sniffing the file only when the format is "auto" — an
-// explicit format never requires a readable, sniffable head), stream the
-// file through the adapter's incremental parser with the format's
-// side-channel companions applied in-line (Mahimahi uplink merge, paper
-// rtts.csv overlay), and hand the point stream to the join layer for
-// resampling and bundle assembly. stream_trace() is the bounded-memory
-// core; load_trace() is its whole-file wrapper. Every error is prefixed
-// with the offending path.
+// ingest_trace CLI, replay_dataset --import, fleet path specs, tests):
+// resolve an adapter from the registry (sniffing the file only when the
+// format is "auto" — an explicit format never requires a readable,
+// sniffable head), stream the file through the adapter's incremental
+// parser with the format's side-channel companions applied in-line
+// (Mahimahi uplink merge, paper rtts.csv overlay), and hand the point
+// stream to the join layer for resampling and bundle assembly.
+// stream_trace() is the bounded-memory core; load_trace() is its
+// whole-file wrapper. Every error is prefixed with the offending path.
 #pragma once
 
 #include <string>
@@ -61,5 +61,33 @@ replay::ReplayBundle ingest_join(const std::string& format,
                                  const std::vector<JoinEntry>& entries,
                                  const IngestOptions& options,
                                  const JoinOptions& join);
+
+/// One fleet path spec: a dataset directory, or an external trace (a path
+/// ending in ".csv"). Either may carry an "@carrier" suffix (a canonical
+/// carrier name, default Verizon) — it tags the bundle lifted from a trace.
+struct FleetSpec {
+  std::string path;
+  radio::Carrier carrier = radio::Carrier::Verizon;
+  bool is_trace = false;
+};
+
+/// Split `spec` into path, carrier and kind. Throws std::runtime_error on a
+/// suffix that is not a carrier name.
+FleetSpec parse_fleet_spec(const std::string& spec);
+
+/// Load one fleet bundle: read_dataset for a directory; for a trace,
+/// ingest_file tagged with the spec's carrier — format "auto", so a fleet
+/// reads every format the ingest registry sniffs, or "minimal" when no
+/// adapter claims the file (the minimal columns in any order).
+replay::ReplayBundle load_fleet_bundle(const std::string& spec);
+
+/// Expand fleet path specs in place of globbing: a spec naming a directory
+/// that is not itself a bundle (no manifest.json) but holds bundle
+/// subdirectories — e.g. synth_trace --out output, output/cycle-000/... —
+/// expands to those subdirectories in lexicographic name order. Every other
+/// spec (bundle dirs, traces) passes through unchanged. Throws
+/// std::runtime_error when a directory spec contains no bundles.
+std::vector<std::string> expand_fleet_specs(
+    const std::vector<std::string>& specs);
 
 }  // namespace wheels::ingest

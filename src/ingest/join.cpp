@@ -294,7 +294,7 @@ replay::ReplayBundle join_streams(std::vector<StreamSource> sources,
   bundle.manifest.scale = 1.0;
   bundle.manifest.threads = 1;
   bundle.manifest.config_digest =
-      core::obs::hex64(core::obs::fnv1a64(digest.str()));
+      core::obs::hex64(core::fnv1a64(digest.str()));
 
   measure::validate_or_throw(db);
   return bundle;

@@ -4,12 +4,19 @@
 #include <cmath>
 #include <limits>
 
+#include "core/hash.hpp"
 #include "core/parallel.hpp"
 #include "radio/band_plan.hpp"
 
 namespace wheels::ran {
 
 namespace {
+
+// Counter-based per-(UE, tick) randomness: a per-UE seed mixed with a tick or
+// epoch counter is an independent draw per slot, with no generator state to
+// share across threads.
+using core::splitmix64;
+using core::u01;
 
 /// Per-profile traffic shape: mean downlink rate when a session is on, the
 /// fraction of 30 s epochs that are on, and how many seconds of unserved
@@ -50,19 +57,6 @@ constexpr double kCellEfficiency = 0.7;
 /// Cells per task in the scheduling phase (cells are few; keep blocks small
 /// enough that the fan-out still parallelises a 3-carrier deployment).
 constexpr std::uint32_t kCellBlock = 16;
-
-/// splitmix64 finaliser: the counter-based per-(UE, tick) randomness. Mixing
-/// a per-UE seed with a tick or epoch counter yields an independent draw per
-/// slot with no generator state to share across threads.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Uniform double in [0, 1) from a hash.
-double u01(std::uint64_t h) { return static_cast<double>(h >> 11) * 0x1.0p-53; }
 
 double bytes_per_mbps_tick(Millis tick) {
   return tick / kMillisPerSecond * 1e6 / kBitsPerByte;
@@ -189,12 +183,13 @@ void UePool::update_ue_block(std::uint32_t begin, std::uint32_t end,
         kProfileShapes[static_cast<std::size_t>(profile_[i])];
     const std::uint64_t seed = seed_[i];
     const bool session_on =
-        u01(mix64(seed ^ (0x5e551007u + static_cast<std::uint64_t>(epoch) *
-                                            0x9e3779b97f4a7c15ull))) <
+        u01(splitmix64(
+            seed ^ (0x5e551007u + static_cast<std::uint64_t>(epoch) *
+                                      0x9e3779b97f4a7c15ull))) <
         shape.duty;
     double fresh_mbps = 0.0;
     if (session_on) {
-      const double jitter = 0.5 + u01(mix64(
+      const double jitter = 0.5 + u01(splitmix64(
           seed ^ (0x7ea512aBu + static_cast<std::uint64_t>(tick_index_) *
                                     0xbf58476d1ce4e5b9ull)));
       fresh_mbps = shape.mean_mbps * jitter;

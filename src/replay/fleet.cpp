@@ -1,7 +1,6 @@
 #include "replay/fleet.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -14,7 +13,6 @@
 #include "core/obs/trace_export.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
-#include "replay/external_adapter.hpp"
 
 namespace wheels::replay {
 
@@ -190,48 +188,6 @@ std::string cell_label(const ReplayKnobs& knobs) {
   out += knobs.max_tier.has_value()
              ? std::string{measure::names::to_name(*knobs.max_tier)}
              : "recorded";
-  return out;
-}
-
-ReplayBundle load_fleet_bundle(const std::string& spec) {
-  std::string path = spec;
-  radio::Carrier carrier = radio::Carrier::Verizon;
-  if (const std::size_t at = spec.rfind('@');
-      at != std::string::npos && at + 1 < spec.size()) {
-    carrier = measure::names::parse_carrier(spec.substr(at + 1));
-    path = spec.substr(0, at);
-  }
-  const bool is_csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (is_csv) return import_external_trace_file(path, carrier);
-  return read_dataset(path);
-}
-
-std::vector<std::string> expand_fleet_specs(
-    const std::vector<std::string>& specs) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> out;
-  for (const std::string& spec : specs) {
-    const bool is_csv = spec.find(".csv") != std::string::npos;
-    if (is_csv || !fs::is_directory(spec) ||
-        fs::exists(fs::path{spec} / "manifest.json")) {
-      out.push_back(spec);
-      continue;
-    }
-    std::vector<std::string> children;
-    for (const fs::directory_entry& entry : fs::directory_iterator{spec}) {
-      if (entry.is_directory() &&
-          fs::exists(entry.path() / "manifest.json")) {
-        children.push_back(entry.path().string());
-      }
-    }
-    if (children.empty()) {
-      throw std::runtime_error{"fleet: " + spec +
-                               " contains no bundle directories"};
-    }
-    std::sort(children.begin(), children.end());
-    out.insert(out.end(), children.begin(), children.end());
-  }
   return out;
 }
 

@@ -64,20 +64,6 @@ struct FleetItem {
   const ReplayBundle* bundle = nullptr;
 };
 
-/// Load a bundle from a fleet path spec: a dataset directory, or an external
-/// per-tick trace CSV (a path ending in ".csv"), optionally suffixed
-/// "@carrier" to pick the synthetic bundle's carrier (default Verizon).
-ReplayBundle load_fleet_bundle(const std::string& spec);
-
-/// Expand fleet path specs in place of globbing: a spec naming a directory
-/// that is not itself a bundle (no manifest.json) but holds bundle
-/// subdirectories — e.g. synth_trace --out output, output/cycle-000/... —
-/// expands to those subdirectories in lexicographic name order. Every other
-/// spec (bundle dirs, ".csv[@carrier]" traces) passes through unchanged.
-/// Throws std::runtime_error when a directory spec contains no bundles.
-std::vector<std::string> expand_fleet_specs(
-    const std::vector<std::string>& specs);
-
 struct FleetConfig {
   /// Per-replay configuration. `replay.threads` is ignored: inner replays
   /// run serially and all parallelism is spent at the fleet level, which

@@ -666,7 +666,7 @@ core::obs::RunManifest make_replay_manifest(
                 static_cast<unsigned long long>(source.seed), source.scale,
                 cell_label(config.knobs).c_str(),
                 config.policy == HoldPolicy::Hold ? "hold" : "linear");
-  m.config_digest = core::obs::hex64(core::obs::fnv1a64(buf));
+  m.config_digest = core::obs::hex64(core::fnv1a64(buf));
   return m;
 }
 

@@ -9,6 +9,7 @@
 #include "campaign/campaign.hpp"
 #include "core/obs/manifest.hpp"
 #include "core/obs/metrics.hpp"
+#include "ingest/ingest.hpp"
 #include "measure/enum_names.hpp"
 #include "replay/fleet.hpp"
 #include "replay/ingest.hpp"
@@ -70,27 +71,14 @@ std::string manifest_identity(const core::obs::RunManifest& m) {
 /// the selected carrier — renaming a file changes nothing, editing a tick
 /// changes the key.
 std::string spec_identity(const std::string& spec) {
-  std::string path = spec;
-  std::string carrier = measure::names::to_name(radio::Carrier::Verizon).data();
-  if (const std::size_t at = spec.rfind('@');
-      at != std::string::npos && at + 1 < spec.size()) {
-    const std::string tail = spec.substr(at + 1);
-    try {
-      carrier = measure::names::to_name(measure::names::parse_carrier(tail));
-      path = spec.substr(0, at);
-    } catch (const std::runtime_error&) {
-      // Not a carrier suffix; treat the whole spec as a path.
-    }
+  const ingest::FleetSpec parsed = ingest::parse_fleet_spec(spec);
+  if (parsed.is_trace) {
+    return "trace=" +
+           core::obs::hex64(core::fnv1a64(read_file_bytes(parsed.path))) +
+           ";carrier=" + std::string{measure::names::to_name(parsed.carrier)};
   }
-  const bool is_csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (is_csv) {
-    return "trace=" + core::obs::hex64(core::obs::fnv1a64(
-                          read_file_bytes(path))) +
-           ";carrier=" + carrier;
-  }
-  return manifest_identity(
-      core::obs::read_manifest((fs::path{path} / "manifest.json").string()));
+  return manifest_identity(core::obs::read_manifest(
+      (fs::path{parsed.path} / "manifest.json").string()));
 }
 
 /// The fleet job's canonical config string: the expanded knob grid (cell
@@ -118,11 +106,11 @@ std::vector<replay::ReplayKnobs> fleet_cells(const JobSpec& spec) {
 
 void run_fleet_job(const JobSpec& spec, const std::string& out_dir) {
   const std::vector<std::string> specs =
-      replay::expand_fleet_specs(spec.bundles);
+      ingest::expand_fleet_specs(spec.bundles);
   std::vector<replay::ReplayBundle> bundles;
   bundles.reserve(specs.size());
   for (const std::string& s : specs) {
-    bundles.push_back(replay::load_fleet_bundle(s));
+    bundles.push_back(ingest::load_fleet_bundle(s));
   }
   std::vector<replay::FleetItem> items;
   items.reserve(specs.size());
@@ -152,8 +140,7 @@ void run_fleet_job(const JobSpec& spec, const std::string& out_dir) {
   manifest.seed = spec.seed;
   manifest.scale = 0.0;
   manifest.config_digest =
-      core::obs::hex64(core::obs::fnv1a64(fleet_canonical(spec,
-                                                          fleet.cells())));
+      core::obs::hex64(core::fnv1a64(fleet_canonical(spec, fleet.cells())));
   manifest.threads = 1;
   core::obs::canonicalize_provenance(manifest);
   core::obs::write_manifest(manifest,
@@ -170,10 +157,10 @@ std::string CacheKey::dir_name() const {
 }
 
 CacheKey cache_key(const JobSpec& spec) {
-  CacheKey key;
-  key.kind = spec.kind;
-  key.seed = spec.seed;
-  key.input_digest = "-";
+  CacheKey key{.kind = spec.kind,
+               .config_digest = {},
+               .seed = spec.seed,
+               .input_digest = "-"};
   switch (spec.kind) {
     case JobKind::Campaign:
       key.config_digest =
@@ -186,18 +173,18 @@ CacheKey cache_key(const JobSpec& spec) {
           replay::make_replay_manifest(to_replay_config(spec), source)
               .config_digest;
       key.input_digest =
-          core::obs::hex64(core::obs::fnv1a64(manifest_identity(source)));
+          core::obs::hex64(core::fnv1a64(manifest_identity(source)));
       break;
     }
     case JobKind::Fleet: {
       key.config_digest = core::obs::hex64(
-          core::obs::fnv1a64(fleet_canonical(spec, fleet_cells(spec))));
+          core::fnv1a64(fleet_canonical(spec, fleet_cells(spec))));
       std::string joined;
-      for (const std::string& s : replay::expand_fleet_specs(spec.bundles)) {
+      for (const std::string& s : ingest::expand_fleet_specs(spec.bundles)) {
         if (!joined.empty()) joined += "|";
         joined += spec_identity(s);
       }
-      key.input_digest = core::obs::hex64(core::obs::fnv1a64(joined));
+      key.input_digest = core::obs::hex64(core::fnv1a64(joined));
       break;
     }
     case JobKind::Synth: {
@@ -206,9 +193,9 @@ CacheKey cache_key(const JobSpec& spec) {
       const std::string canon = "synth;cycles=" +
                                 std::to_string(spec.cycles) + ";spec=" +
                                 synth::scenario_canonical(scenario);
-      key.config_digest = core::obs::hex64(core::obs::fnv1a64(canon));
+      key.config_digest = core::obs::hex64(core::fnv1a64(canon));
       key.input_digest = core::obs::hex64(
-          core::obs::fnv1a64(read_file_bytes(spec.profile)));
+          core::fnv1a64(read_file_bytes(spec.profile)));
       break;
     }
   }

@@ -1,6 +1,5 @@
 #include "service/protocol.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -35,31 +34,10 @@ std::string double_str(double v) {
 }
 
 std::string quoted(std::string_view s) {
-  return "\"" + core::json::escape(s) + "\"";
-}
-
-/// Decode a JSON number that must be an integer in [min, max].
-long long int_field(const Doc& doc, const Value& v, std::string_view key,
-                    long long min, long long max) {
-  const Value& n = doc.as(v, Value::Kind::Number,
-                          "an integer for \"" + std::string{key} + "\"");
-  const double d = n.number;
-  if (!(d >= static_cast<double>(min)) || d > static_cast<double>(max) ||
-      d != std::floor(d)) {
-    doc.fail(n.line, "\"" + std::string{key} + "\" must be an integer >= " +
-                         std::to_string(min));
-  }
-  return static_cast<long long>(d);
-}
-
-std::uint64_t u64_field(const Doc& doc, const Value& v, std::string_view key) {
-  const Value& n = doc.as(v, Value::Kind::Number,
-                          "an integer for \"" + std::string{key} + "\"");
-  if (!(n.number >= 0.0) || n.number != std::floor(n.number)) {
-    doc.fail(n.line,
-             "\"" + std::string{key} + "\" must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(n.number);
+  std::string out{'"'};
+  out += core::json::escape(s);
+  out += '"';
+  return out;
 }
 
 std::vector<std::string> string_list(const Doc& doc, const Value& v,
@@ -102,7 +80,7 @@ bool apply_job_key(const Doc& doc, JobSpec& spec, const std::string& key,
                    const Value& val) {
   const JobKind kind = spec.kind;
   if (key == "seed") {
-    spec.seed = u64_field(doc, val, key);
+    spec.seed = doc.u64(val, key);
     return true;
   }
   if (kind == JobKind::Campaign) {
@@ -118,7 +96,7 @@ bool apply_job_key(const Doc& doc, JobSpec& spec, const std::string& key,
       return true;
     }
     if (key == "stride") {
-      spec.stride = static_cast<int>(int_field(doc, val, key, 1, 1 << 20));
+      spec.stride = static_cast<int>(doc.i64(val, key, 1, 1 << 20));
       return true;
     }
     if (key == "static") {
@@ -127,11 +105,11 @@ bool apply_job_key(const Doc& doc, JobSpec& spec, const std::string& key,
       return true;
     }
     if (key == "idle") {
-      spec.idle = static_cast<int>(int_field(doc, val, key, 0, 1 << 20));
+      spec.idle = static_cast<int>(doc.i64(val, key, 0, 1 << 20));
       return true;
     }
     if (key == "ues") {
-      spec.ues = static_cast<int>(int_field(doc, val, key, 0, 1 << 24));
+      spec.ues = static_cast<int>(doc.i64(val, key, 0, 1 << 24));
       return true;
     }
     if (key == "sched") {
@@ -198,8 +176,7 @@ bool apply_job_key(const Doc& doc, JobSpec& spec, const std::string& key,
       return true;
     }
     if (key == "ci") {
-      spec.ci_iterations =
-          static_cast<int>(int_field(doc, val, key, 1, 1 << 20));
+      spec.ci_iterations = static_cast<int>(doc.i64(val, key, 1, 1 << 20));
       return true;
     }
     return false;
@@ -211,7 +188,7 @@ bool apply_job_key(const Doc& doc, JobSpec& spec, const std::string& key,
     return true;
   }
   if (key == "cycles") {
-    spec.cycles = static_cast<int>(int_field(doc, val, key, 1, 1 << 20));
+    spec.cycles = static_cast<int>(doc.i64(val, key, 1, 1 << 20));
     return true;
   }
   if (key == "spec") {
@@ -268,7 +245,7 @@ std::vector<std::pair<std::string, std::uint64_t>> parse_counters(
   if (const Value* obs = doc.find(root, "obs")) {
     doc.as(*obs, Value::Kind::Object, "an object for \"obs\"");
     for (const auto& [name, val] : obs->keys) {
-      out.emplace_back(name, u64_field(doc, val, name));
+      out.emplace_back(name, doc.u64(val, name));
     }
   }
   return out;
@@ -288,7 +265,7 @@ ResultInfo parse_result_fields(const Doc& doc, const Value& v) {
   ResultInfo info;
   info.path = doc.str(v, "path");
   info.content_digest = doc.str(v, "content_digest");
-  info.bytes = u64_field(doc, doc.get(v, "bytes"), "bytes");
+  info.bytes = doc.u64(doc.get(v, "bytes"), "bytes");
   if (const Value* files = doc.find(v, "files")) {
     info.files = string_list(doc, *files, "files");
   }
@@ -489,7 +466,7 @@ Request parse_request(const std::string& line) {
     doc.fail(val.line, "unknown key \"" + key + "\" for op \"" + opv.text +
                            "\"");
   }
-  if (takes_id) req.id = u64_field(doc, doc.get(root, "id"), "id");
+  if (takes_id) req.id = doc.u64(doc.get(root, "id"), "id");
   if (takes_job) req.job = parse_job_spec(doc, doc.get(root, "job"));
   return req;
 }
@@ -544,7 +521,7 @@ JobStatus parse_status_response(const std::string& line) {
   const Doc doc{"response"};
   const Value root = parse_response(doc, line);
   JobStatus status;
-  status.id = u64_field(doc, doc.get(root, "id"), "id");
+  status.id = doc.u64(doc.get(root, "id"), "id");
   const Value& statev =
       doc.as(doc.get(root, "state"), Value::Kind::String, "a state string");
   auto state = parse_job_state(statev.text);
@@ -575,14 +552,13 @@ StatsInfo parse_stats_response(const std::string& line) {
   const Value& jobs =
       doc.as(doc.get(root, "jobs"), Value::Kind::Object, "a jobs object");
   for (const auto& [state, count] : jobs.keys) {
-    stats.jobs_by_state[state] = u64_field(doc, count, state);
+    stats.jobs_by_state[state] = doc.u64(count, state);
   }
   const Value& cache =
       doc.as(doc.get(root, "cache"), Value::Kind::Object, "a cache object");
-  stats.cache_entries = u64_field(doc, doc.get(cache, "entries"), "entries");
-  stats.cache_bytes = u64_field(doc, doc.get(cache, "bytes"), "bytes");
-  stats.cache_max_bytes =
-      u64_field(doc, doc.get(cache, "max_bytes"), "max_bytes");
+  stats.cache_entries = doc.u64(doc.get(cache, "entries"), "entries");
+  stats.cache_bytes = doc.u64(doc.get(cache, "bytes"), "bytes");
+  stats.cache_max_bytes = doc.u64(doc.get(cache, "max_bytes"), "max_bytes");
   stats.cache_warnings = string_list(doc, doc.get(cache, "warnings"),
                                      "warnings");
   stats.counters = parse_counters(doc, root);

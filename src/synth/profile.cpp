@@ -282,14 +282,14 @@ SynthProfile parse_profile(std::string_view json) {
 
   SynthProfile p;
   const JsonValue& version = get(root, "version");
-  as(version, JsonValue::Kind::Number, "a number for \"version\"");
-  p.version = static_cast<int>(version.number);
-  if (p.version != kProfileVersion) {
-    fail(version.line, "unsupported profile version " +
-                           std::to_string(p.version) + " (this build reads " +
+  const std::int64_t v = doc().i64(version, "version");
+  if (v != kProfileVersion) {
+    fail(version.line, "unsupported profile version " + std::to_string(v) +
+                           " (this build reads " +
                            std::to_string(kProfileVersion) + ")");
   }
-  p.tick_ms = static_cast<SimMillis>(num(root, "tick_ms"));
+  p.version = kProfileVersion;
+  p.tick_ms = doc().i64(get(root, "tick_ms"), "tick_ms");
   if (p.tick_ms <= 0) fail(get(root, "tick_ms").line, "tick_ms must be > 0");
   p.outage_mbps = num(root, "outage_mbps");
   p.source_digest = str(root, "source_digest");
@@ -332,8 +332,8 @@ SynthProfile parse_profile(std::string_view json) {
     StreamModel s;
     s.carrier = parse_carrier_at(sv);
     s.tech = parse_tech_at(get(sv, "tech"));
-    s.n_ticks = static_cast<std::uint64_t>(num(sv, "n_ticks"));
-    s.n_rtt = static_cast<std::uint64_t>(num(sv, "n_rtt"));
+    s.n_ticks = doc().u64(get(sv, "n_ticks"), "n_ticks");
+    s.n_rtt = doc().u64(get(sv, "n_rtt"), "n_rtt");
     s.outage_fraction = num(sv, "outage_fraction");
     s.mean_outage_ticks = num(sv, "mean_outage_ticks");
     s.handover_rate = num(sv, "handover_rate");

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/hash.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
 #include "ingest/join.hpp"
@@ -19,16 +20,10 @@ namespace wheels::synth {
 
 namespace {
 
-/// splitmix64 finaliser (the ue_pool discipline): every uniform is a hash of
-/// its coordinates, so there is no generator state to share or sequence.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-double u01(std::uint64_t h) { return static_cast<double>(h >> 11) * 0x1.0p-53; }
+// Every uniform is a splitmix64 hash of its coordinates (the ue_pool
+// discipline), so there is no generator state to share or sequence.
+using core::splitmix64;
+using core::u01;
 
 /// Draw channels within one tick.
 enum Channel : std::uint64_t {
@@ -47,14 +42,17 @@ struct DrawStream {
   std::uint64_t base;
 
   DrawStream(std::uint64_t seed, radio::Carrier carrier, std::int64_t cycle)
-      : base(mix64(seed ^ mix64(0x5eedc0de +
-                                static_cast<std::uint64_t>(carrier) * 0x101) ^
-                   mix64(0xc7c1eull ^ static_cast<std::uint64_t>(cycle)))) {}
+      : base(splitmix64(
+            seed ^
+            splitmix64(0x5eedc0de +
+                       static_cast<std::uint64_t>(carrier) * 0x101) ^
+            splitmix64(0xc7c1eull ^ static_cast<std::uint64_t>(cycle)))) {}
 
   double at(std::int64_t tick, Channel ch) const {
-    return u01(mix64(base ^ (static_cast<std::uint64_t>(tick) * kChannels +
-                             static_cast<std::uint64_t>(ch) + 1) *
-                                0x9e3779b97f4a7c15ull));
+    return u01(
+        splitmix64(base ^ (static_cast<std::uint64_t>(tick) * kChannels +
+                           static_cast<std::uint64_t>(ch) + 1) *
+                              0x9e3779b97f4a7c15ull));
   }
 };
 

@@ -420,5 +420,58 @@ TEST(Manifest, JsonRoundTripsByteIdentically) {
   EXPECT_EQ(core::obs::parse_manifest(json).to_json(), json);
 }
 
+TEST(Manifest, ParseAcceptsAnyValidJsonLayout) {
+  // Compact, reordered, with an extra key and a comma inside a string.
+  const core::obs::RunManifest m = core::obs::parse_manifest(
+      R"({"threads":2,"config_digest":"a,b","seed":18446744073709551615,)"
+      R"("scale":0.25,"library_version":"1.2.3","note":"x",)"
+      R"("started_utc":"1970-01-01 00:00:00.000"})");
+  EXPECT_EQ(m.seed, 18446744073709551615ull);
+  EXPECT_EQ(m.scale, 0.25);
+  EXPECT_EQ(m.config_digest, "a,b");
+  EXPECT_EQ(m.threads, 2);
+  EXPECT_EQ(m.library_version, "1.2.3");
+}
+
+TEST(Manifest, ParseRejectsMalformedInputWithLineNumbers) {
+  core::obs::RunManifest m = core::obs::make_run_manifest();
+  m.seed = 9;
+  m.scale = 0.5;
+  m.config_digest = "0123456789abcdef";
+  m.threads = 4;
+  const std::string good = m.to_json();  // one key per line, seed on line 2
+  const auto error_of = [](const std::string& json) {
+    try {
+      (void)core::obs::parse_manifest(json);
+    } catch (const std::runtime_error& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"<accepted>"};
+  };
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string json = good;
+    json.replace(json.find(from), from.size(), to);
+    return json;
+  };
+  EXPECT_EQ(error_of(good + "\ngarbage"),
+            "manifest: line 9: trailing content after document");
+  EXPECT_EQ(error_of(with("\"threads\": 4", "\"threads\": 99999999999")),
+            "manifest: line 5: \"threads\" must be an integer in "
+            "[-2147483648, 2147483647]");
+  EXPECT_EQ(error_of(with("\"seed\": 9", "\"seed\": 9.5")),
+            "manifest: line 2: \"seed\" must be an integer in "
+            "[0, 18446744073709551615]");
+  EXPECT_EQ(error_of(with("\"scale\": 0.5", "\"scale\": 1e999")),
+            "manifest: line 3: \"scale\" must be finite");
+  EXPECT_EQ(error_of(with("\"seed\": 9,\n", "")),
+            "manifest: line 1: missing key \"seed\"");
+  EXPECT_EQ(error_of(with("\"seed\": 9", "\"seed\": \"9\"")),
+            "manifest: line 2: expected an integer for \"seed\"");
+  EXPECT_EQ(error_of(with("\"config_digest\": \"0123456789abcdef\"",
+                          "\"config_digest\": 7")),
+            "manifest: line 4: expected a string for \"config_digest\"");
+  EXPECT_EQ(error_of("[]"), "manifest: line 1: expected a manifest object");
+}
+
 }  // namespace
 }  // namespace wheels::measure

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -491,6 +493,213 @@ TEST(IngestTest, GapSplitTracesBecomeMultiCycleBundles) {
   EXPECT_EQ(bundle.db.tests[0].cycle, 0);
   EXPECT_EQ(bundle.db.tests[3].cycle, 1);
   EXPECT_EQ(bundle.db.tests[3].start, 30'000);
+}
+
+
+// --- minimal traces through the file path --------------------------------
+//
+// The behaviours the fleet's original trace lifter pinned, now held by the
+// minimal adapter that fleet ".csv" specs go through.
+
+/// Write `text` verbatim to a per-test temp file; returns its path.
+std::string write_trace(const std::string& text) {
+  const std::string path =
+      (std::filesystem::path{::testing::TempDir()} /
+       (std::string{::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()} +
+        ".csv"))
+          .string();
+  std::ofstream os{path, std::ios::binary};
+  os << text;
+  return path;
+}
+
+replay::ReplayBundle ingest_text(
+    const std::string& text, radio::Carrier carrier = radio::Carrier::Verizon) {
+  IngestOptions options;
+  options.carrier = carrier;
+  return ingest_file("minimal", write_trace(text), options);
+}
+
+std::string ingest_text_error(const std::string& text) {
+  return error_of([&] { (void)ingest_text(text); });
+}
+
+constexpr char kMinimalTrace[] =
+    "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\n"
+    "0,120.5,18.2,45,5G-mid\n"
+    "500,95.0,15.0,52,5G-mid\n"
+    "1000,3.1,1.0,88,LTE\n"
+    "1500,140.0,20.0,41,5G-mmWave\n";
+
+TEST(IngestTest, MinimalTraceImportsAndReplays) {
+  const replay::ReplayBundle bundle =
+      ingest_text(kMinimalTrace, radio::Carrier::TMobile);
+  EXPECT_EQ(bundle.db.tests.size(), 3u);
+  EXPECT_EQ(bundle.db.kpis.size(), 8u);  // 4 ticks x {DL, UL}
+  EXPECT_EQ(bundle.db.rtts.size(), 4u);
+  EXPECT_EQ(bundle.db.tests[0].carrier, radio::Carrier::TMobile);
+  EXPECT_TRUE(measure::validate(bundle.db).empty());
+
+  replay::ReplayConfig cfg;
+  cfg.threads = 1;
+  const measure::ConsolidatedDb replayed =
+      replay::ReplayCampaign{bundle, cfg}.run();
+  EXPECT_EQ(replayed.kpis.size(), 8u);
+  EXPECT_EQ(replayed.rtts.size(), 4u);
+  for (const auto& r : replayed.rtts) {
+    EXPECT_GT(r.rtt, 0.0);
+  }
+}
+
+TEST(IngestTest, MinimalTraceWithoutTechColumnDefaultsToLte) {
+  const replay::ReplayBundle bundle =
+      ingest_text("t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n0,50,5,60\n");
+  ASSERT_EQ(bundle.db.kpis.size(), 2u);
+  EXPECT_EQ(bundle.db.kpis[0].tech, radio::Technology::Lte);
+}
+
+TEST(IngestTest, MinimalTraceMalformedRowsReportLineNumbers) {
+  const std::string header = "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n";
+  EXPECT_NE(ingest_text_error("bogus,header\n").find("line 1"),
+            std::string::npos);
+  EXPECT_NE(ingest_text_error(header + "0,50,5\n").find("line 2"),
+            std::string::npos);
+  EXPECT_NE(ingest_text_error(header + "0,nan,5,60\n").find("line 2"),
+            std::string::npos);
+  EXPECT_NE(ingest_text_error(header + "0,50,5,0\n").find("line 2"),
+            std::string::npos);  // rtt must be > 0
+  EXPECT_NE(ingest_text_error(header + "500,50,5,60\n0,50,5,60\n")
+                .find("line 3: time going backwards"),
+            std::string::npos);
+  EXPECT_NE(ingest_text_error(header).find("no data rows"),
+            std::string::npos);
+}
+
+TEST(IngestTest, MinimalTraceRejectsDuplicateTimestampsWithLineNumber) {
+  const std::string what = ingest_text_error(
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
+      "0,50,5,60\n"
+      "500,52,6,58\n"
+      "500,48,4,61\n");
+  EXPECT_NE(what.find("line 4: duplicate time 500"), std::string::npos)
+      << what;
+}
+
+TEST(IngestTest, MinimalTraceRejectsEmptyInput) {
+  const std::string what = ingest_text_error("");
+  EXPECT_NE(what.find("line 1: empty trace"), std::string::npos) << what;
+}
+
+TEST(IngestTest, MinimalTraceAcceptsCrlfLineEndings) {
+  // Windows-exported traces: CRLF on every line including the header, plus a
+  // trailing bare "\r" line. Must parse identically to the LF version.
+  const replay::ReplayBundle bundle = ingest_text(
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\r\n"
+      "0,120.5,18.2,45,5G-mid\r\n"
+      "500,95.0,15.0,52,LTE\r\n"
+      "\r\n",
+      radio::Carrier::Att);
+  EXPECT_EQ(bundle.db.kpis.size(), 4u);  // 2 ticks x {DL, UL}
+  EXPECT_EQ(bundle.db.rtts.size(), 2u);
+  EXPECT_EQ(bundle.db.kpis[0].tech, radio::Technology::NrMid);
+  EXPECT_EQ(bundle.db.rtts[1].rtt, 52.0);
+  EXPECT_TRUE(measure::validate(bundle.db).empty());
+}
+
+TEST(IngestTest, MinimalTraceAcceptsCommentAndBlankLines) {
+  // '#' comments and blank lines are allowed anywhere — including before the
+  // header — and do not shift the physical line numbers diagnostics report.
+  const replay::ReplayBundle bundle = ingest_text(
+      "# exported by a field logger\n"
+      "\n"
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,tech\n"
+      "0,120.5,18.2,45,5G-mid\n"
+      "# mid-trace annotation\n"
+      "500,95.0,15.0,52,LTE\n"
+      "\n");
+  EXPECT_EQ(bundle.db.kpis.size(), 4u);  // 2 ticks x {DL, UL}
+  EXPECT_EQ(bundle.db.rtts.size(), 2u);
+  EXPECT_EQ(bundle.db.rtts[1].rtt, 52.0);
+  EXPECT_TRUE(measure::validate(bundle.db).empty());
+
+  // Skipped lines still count: the bad row below is physical line 6.
+  const std::string what = ingest_text_error(
+      "# comment\n"
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
+      "0,50,5,60\n"
+      "\n"
+      "# another comment\n"
+      "500,50,5,0\n");
+  EXPECT_NE(what.find("line 6: rtt must be > 0"), std::string::npos) << what;
+
+  // A comment-only stream has no header at all.
+  EXPECT_NE(ingest_text_error("# nothing here\n\n# still nothing\n")
+                .find("empty trace"),
+            std::string::npos);
+}
+
+TEST(IngestTest, MinimalTraceFifthHeaderColumnMustBeTech) {
+  const std::string what = ingest_text_error(
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms,band\n"
+      "0,50,5,60,n77\n");
+  EXPECT_NE(what.find("line 1: unmapped column 'band'"), std::string::npos)
+      << what;
+}
+
+// --- fleet specs ------------------------------------------------------------
+
+TEST(IngestTest, FleetSpecGrammarSplitsPathCarrierAndKind) {
+  const FleetSpec trace = parse_fleet_spec("day/errant.csv@T-Mobile");
+  EXPECT_EQ(trace.path, "day/errant.csv");
+  EXPECT_EQ(trace.carrier, radio::Carrier::TMobile);
+  EXPECT_TRUE(trace.is_trace);
+  const FleetSpec dir = parse_fleet_spec("day1");
+  EXPECT_EQ(dir.path, "day1");
+  EXPECT_EQ(dir.carrier, radio::Carrier::Verizon);
+  EXPECT_FALSE(dir.is_trace);
+  // A trailing '@' names no carrier and stays part of the path.
+  EXPECT_EQ(parse_fleet_spec("trace.csv@").path, "trace.csv@");
+  EXPECT_NE(error_of([] { (void)parse_fleet_spec("trace.csv@sprint"); })
+                .find("unknown carrier name 'sprint'"),
+            std::string::npos);
+}
+
+TEST(IngestTest, LoadFleetBundleReadsEveryRegisteredFormat) {
+  // The README fleet example: a third-party trace tagged with its carrier.
+  const replay::ReplayBundle errant =
+      load_fleet_bundle(fixture("errant.csv") + "@T-Mobile");
+  EXPECT_TRUE(measure::validate(errant.db).empty());
+  EXPECT_EQ(errant.db.tests[0].carrier, radio::Carrier::TMobile);
+  IngestOptions tmobile;
+  tmobile.carrier = radio::Carrier::TMobile;
+  EXPECT_EQ(errant.db.kpis.size(),
+            ingest_file("errant", fixture("errant.csv"), tmobile)
+                .db.kpis.size());
+
+  // Unsniffable minimal columns fall back to the minimal grammar.
+  const replay::ReplayBundle reordered =
+      load_fleet_bundle(fixture("minimal_reordered.csv"));
+  EXPECT_TRUE(measure::validate(reordered.db).empty());
+  ASSERT_EQ(reordered.db.rtts.size(), 3u);
+  EXPECT_DOUBLE_EQ(reordered.db.kpis[2].throughput, 60.0);
+
+  const replay::ReplayBundle monroe =
+      load_fleet_bundle(fixture("monroe.csv") + "@AT&T");
+  EXPECT_EQ(monroe.db.rtts.size(), 5u);
+  EXPECT_EQ(monroe.db.tests[0].carrier, radio::Carrier::Att);
+}
+
+TEST(IngestTest, LoadFleetBundleErrorsNameTheTrace) {
+  const std::string bad = error_of(
+      [] { (void)load_fleet_bundle(fixture("minimal_bad.csv")); });
+  EXPECT_NE(bad.find("minimal_bad.csv"), std::string::npos) << bad;
+  EXPECT_NE(bad.find("line 4: duplicate time 500"), std::string::npos) << bad;
+  // A header nothing sniffs is read as minimal and fails at line 1.
+  const std::string bogus =
+      error_of([] { (void)load_fleet_bundle(write_trace("bogus,header\n")); });
+  EXPECT_NE(bogus.find("line 1"), std::string::npos) << bogus;
 }
 
 }  // namespace

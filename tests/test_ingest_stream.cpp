@@ -21,8 +21,8 @@
 #include "ingest/adapters.hpp"
 #include "ingest/chunked_reader.hpp"
 #include "ingest/ingest.hpp"
+#include "ingest/trace_text.hpp"
 #include "measure/csv_export.hpp"
-#include "replay/trace_text.hpp"
 
 namespace wheels::ingest {
 namespace {
@@ -61,7 +61,7 @@ struct NumberedLine {
 std::vector<NumberedLine> lines_via_reference(const std::string& path) {
   std::ifstream is{path, std::ios::binary};
   EXPECT_TRUE(static_cast<bool>(is)) << path;
-  replay::TraceLineReader reader{is};
+  TraceLineReader reader{is};
   std::vector<NumberedLine> out;
   std::string line;
   while (reader.next(line)) out.push_back({line, reader.line_number()});

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "core/json.hpp"
 #include "core/obs/manifest.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
@@ -234,6 +238,36 @@ TEST(RunManifest_, Fnv1a64MatchesReferenceVectors) {
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
   EXPECT_EQ(hex64(0xcbf29ce484222325ull), "cbf29ce484222325");
+}
+
+TEST(CoreJson, IntegersDecodeExactlyAndDoublesAsBefore) {
+  const json::Doc doc{"t"};
+  const json::Value v = doc.parse(
+      "[9007199254740993, 18446744073709551615, -9223372036854775808, -0,"
+      " 18446744073709551616, 1.5, 1e3, +1]");
+  const std::vector<json::Value>& n = v.items;
+  EXPECT_EQ(doc.u64(n[0], "a"), 9007199254740993ull);
+  EXPECT_EQ(n[0].number, 9007199254740992.0);  // the double is unchanged
+  EXPECT_EQ(doc.u64(n[1], "b"), 18446744073709551615ull);
+  EXPECT_EQ(doc.i64(n[2], "c"), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(doc.u64(n[3], "d"), 0u);
+  EXPECT_TRUE(std::signbit(n[3].number));
+  EXPECT_EQ(n[4].number, 18446744073709551616.0);
+  EXPECT_EQ(n[5].number, 1.5);
+  EXPECT_EQ(n[6].number, 1000.0);
+  EXPECT_EQ(n[7].number, 1.0);
+  for (std::size_t i = 4; i < n.size(); ++i) {
+    EXPECT_THROW((void)doc.u64(n[i], "x"), std::runtime_error) << i;
+    EXPECT_THROW((void)doc.i64(n[i], "x"), std::runtime_error) << i;
+  }
+  EXPECT_THROW((void)doc.i64(n[1], "x"), std::runtime_error);
+  EXPECT_THROW((void)doc.u64(n[2], "x"), std::runtime_error);
+  try {
+    (void)doc.i64(doc.parse("\n\n7"), "k", 1, 5);
+    ADD_FAILURE() << "accepted 7 in [1, 5]";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "t: line 3: \"k\" must be an integer in [1, 5]");
+  }
 }
 
 /// The deterministic view of the global registry after `run(threads)`.

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "ingest/ingest.hpp"
 #include "measure/enum_names.hpp"
-#include "replay/external_adapter.hpp"
 #include "replay/fleet.hpp"
 #include "replay/report.hpp"
 
@@ -113,26 +113,34 @@ std::string external_trace_text(int variant) {
   return ss.str();
 }
 
+/// The trace lifted the way a fleet spec lifts it: the ingest minimal
+/// adapter, resampled onto the default 500 ms grid.
 ReplayBundle external_bundle(int variant, radio::Carrier carrier) {
   std::istringstream is{external_trace_text(variant)};
-  return import_external_trace_csv(is, carrier);
+  const ingest::IngestOptions options;
+  return ingest::build_bundle(
+      ingest::builtin_registry().find("minimal")->parse(is, options), carrier,
+      options.resample);
 }
 
 TEST(ReplayFleetTest, LoadFleetBundleDispatchesOnSpec) {
-  const std::string csv = "/tmp/wheels-fleet-test-trace.csv";
+  const std::string csv =
+      (fs::path{::testing::TempDir()} / "wheels-fleet-test-trace.csv")
+          .string();
   {
     std::ofstream os{csv};
     os << external_trace_text(1);
   }
-  // Bare ".csv" spec: external adapter, default carrier Verizon.
-  const ReplayBundle plain = load_fleet_bundle(csv);
+  // Bare ".csv" spec: ingested, default carrier Verizon.
+  const ReplayBundle plain = ingest::load_fleet_bundle(csv);
   ASSERT_FALSE(plain.db.tests.empty());
   EXPECT_EQ(plain.db.tests[0].carrier, radio::Carrier::Verizon);
   // "@carrier" suffix picks the synthetic carrier.
-  const ReplayBundle tagged = load_fleet_bundle(csv + "@T-Mobile");
+  const ReplayBundle tagged = ingest::load_fleet_bundle(csv + "@T-Mobile");
   ASSERT_FALSE(tagged.db.tests.empty());
   EXPECT_EQ(tagged.db.tests[0].carrier, radio::Carrier::TMobile);
-  EXPECT_THROW((void)load_fleet_bundle(csv + "@sprint"), std::runtime_error);
+  EXPECT_THROW((void)ingest::load_fleet_bundle(csv + "@sprint"),
+               std::runtime_error);
   fs::remove(csv);
 }
 

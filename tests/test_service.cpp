@@ -344,6 +344,33 @@ TEST(ServiceCache, KeyDerivationPinsConfigSeedAndInput) {
   EXPECT_EQ(cache_key(synth_edited).config_digest, synth_base.config_digest);
 }
 
+TEST(ServiceCache, FleetTraceKeysFollowTheFleetSpecGrammar) {
+  const fs::path dir = fresh_dir("fleet-trace-key");
+  const std::string bytes =
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n0,50,5,60\n500,40,4,55\n";
+  for (const char* name : {"a.csv", "b.csv"}) {
+    std::ofstream{dir / name, std::ios::binary} << bytes;
+  }
+  const auto key_of = [&](const std::string& spec) {
+    JobSpec fleet;
+    fleet.kind = JobKind::Fleet;
+    fleet.bundles = {(dir / spec).string()};
+    return cache_key(fleet);
+  };
+  // A trace's identity is its bytes plus the carrier, not its name.
+  const std::string identity =
+      "trace=" + core::obs::hex64(core::fnv1a64(bytes)) + ";carrier=T-Mobile";
+  EXPECT_EQ(key_of("a.csv@T-Mobile").input_digest,
+            core::obs::hex64(core::fnv1a64(identity)));
+  EXPECT_EQ(key_of("b.csv@T-Mobile"), key_of("a.csv@T-Mobile"));
+  EXPECT_NE(key_of("a.csv").input_digest,
+            key_of("a.csv@T-Mobile").input_digest);
+  // An unknown suffix is an error here exactly as when the bundle loads.
+  const std::string err = thrown([&] { (void)key_of("a.csv@sprint"); });
+  EXPECT_NE(err.find("unknown carrier name 'sprint'"), std::string::npos)
+      << err;
+}
+
 TEST(ServiceCache, EvictsLeastRecentlyUsedPastByteBound) {
   const std::string root = fresh_dir("evict-cache");
   const auto staged = [&](const std::string& name, std::size_t bytes) {
@@ -570,6 +597,50 @@ TEST(ServiceProtocol, SpecJsonRoundTripsForEveryKind) {
     EXPECT_EQ(req.op, Request::Op::Submit);
     EXPECT_EQ(req.job.to_json(), spec.to_json());
   }
+}
+
+TEST(ServiceProtocol, SeedsRoundTripExactlyAcrossTheFull64Bits) {
+  // 2^53 + 1 is the first integer a double cannot hold; 2^64 - 1 the last
+  // seed a u64 can. Both must reach the job (and so the cache key) exactly.
+  for (const std::uint64_t seed :
+       {std::uint64_t{9007199254740993ull},
+        std::uint64_t{18446744073709551615ull}}) {
+    const std::string text = std::to_string(seed);
+    const Request req = parse_request(
+        R"({"v": 1, "op": "submit", "job": {"kind": "campaign", "seed": )" +
+        text + "}}");
+    EXPECT_EQ(req.job.seed, seed);
+    EXPECT_NE(req.job.to_json().find("\"seed\": " + text), std::string::npos)
+        << req.job.to_json();
+    JobSpec spec;
+    apply_job_arg(spec, "seed=" + text);
+    EXPECT_EQ(spec.seed, seed);
+  }
+}
+
+TEST(ServiceProtocol, IntegerFieldsRejectFractionsExponentsAndOverflow) {
+  const auto submit_error = [](const std::string& field) {
+    return thrown([&] {
+      (void)parse_request(
+          R"({"v": 1, "op": "submit", "job": {"kind": "campaign", )" + field +
+          "}}");
+    });
+  };
+  const std::string u64_range =
+      "\"seed\" must be an integer in [0, 18446744073709551615]";
+  EXPECT_EQ(submit_error(R"("seed": 18446744073709551616)"),
+            "protocol: line 1: " + u64_range);
+  EXPECT_EQ(submit_error(R"("seed": 1.5)"), "protocol: line 1: " + u64_range);
+  EXPECT_EQ(submit_error(R"("seed": 1e3)"), "protocol: line 1: " + u64_range);
+  EXPECT_EQ(submit_error(R"("seed": -1)"), "protocol: line 1: " + u64_range);
+  EXPECT_EQ(submit_error(R"("stride": 0)"),
+            "protocol: line 1: \"stride\" must be an integer in [1, 1048576]");
+  EXPECT_EQ(submit_error(R"("stride": "2")"),
+            "protocol: line 1: expected an integer for \"stride\"");
+  JobSpec spec;
+  EXPECT_EQ(thrown([&] { apply_job_arg(spec, "seed=18446744073709551616"); }),
+            "job argument \"seed=18446744073709551616\": line 1: " +
+                u64_range);
 }
 
 // --- ServiceQueue ---------------------------------------------------------

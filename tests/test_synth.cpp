@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ingest/stream.hpp"
@@ -203,6 +204,27 @@ TEST(SynthTest, VersionSkewedProfileRejected) {
     EXPECT_NE(what.find("version"), std::string::npos) << what;
     EXPECT_NE(what.find("99"), std::string::npos) << what;
     EXPECT_NE(what.find("profile: line"), std::string::npos) << what;
+  }
+}
+
+TEST(SynthTest, IntegerFieldsRejectFractionsInsteadOfTruncating) {
+  const std::string json = golden_profile().to_json();
+  for (const auto& [field, skewed] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"version\": 1", "\"version\": 1.5"},
+           {"\"tick_ms\": 500", "\"tick_ms\": 500.7"}}) {
+    std::string doc = json;
+    const std::size_t at = doc.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    doc.replace(at, field.size(), skewed);
+    try {
+      (void)parse_profile(doc);
+      ADD_FAILURE() << "accepted " << skewed;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("profile: line"), std::string::npos) << what;
+      EXPECT_NE(what.find("must be an integer"), std::string::npos) << what;
+    }
   }
 }
 
