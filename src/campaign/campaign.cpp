@@ -579,41 +579,16 @@ class CampaignRunner {
   /// observation: consumes no randomness and perturbs no other table.
   static void record_link_tick(CarrierContext& ctx, std::uint32_t test_id,
                                SimMillis t, const LinkTick& lt) {
-    measure::LinkTickRecord rec;
-    rec.test_id = test_id;
-    rec.t = t;
-    rec.carrier = ctx.carrier;
-    rec.tech = lt.tech;
-    rec.cap_dl = lt.cap_dl;
-    rec.cap_ul = lt.cap_ul;
-    rec.rtt = lt.rtt;
-    rec.interruption = lt.interruption;
-    rec.handovers = lt.handovers;
-    ctx.shard.link_ticks.push_back(rec);
+    ctx.shard.link_ticks.push_back(
+        link_tick_record(test_id, t, ctx.carrier, lt));
   }
 
-  void push_offload_run(CarrierContext& ctx, AppKind kind,
-                        const TestRecord& test, const LinkTrace& trace,
-                        const apps::OffloadRunResult& run) {
-    measure::AppRunRecord r;
-    r.test_id = test.id;
-    r.app = kind;
-    r.carrier = ctx.carrier;
-    r.is_static = test.is_static;
-    r.server = test.server;
-    r.high_speed_5g_fraction = apps::high_speed_5g_fraction(trace);
-    r.handovers = apps::total_handovers(trace);
-    r.compressed = run.compressed;
-    r.median_e2e = run.median_e2e;
-    r.offload_fps = run.offload_fps;
-    r.map_percent = run.map_percent;
-    ctx.shard.app_runs.push_back(r);
-    // Uplink frames leave the device.
-    const double frame_kb = run.compressed
-                                ? (kind == AppKind::Ar ? 50.0 : 38.0)
-                                : (kind == AppKind::Ar ? 450.0 : 2000.0);
-    ctx.shard.tx_bytes +=
-        static_cast<double>(run.frames.size()) * frame_kb * 1024.0;
+  /// Score an app session into the shard: its row and its bytes.
+  static void push_app_run(CarrierContext& ctx, AppKind kind,
+                           const TestRecord& test, const LinkTrace& trace,
+                           bool compressed = false) {
+    ctx.shard.app_runs.push_back(score_app_session(
+        kind, test, trace, compressed, ctx.shard.rx_bytes, ctx.shard.tx_bytes));
   }
 
   void run_offload(AppKind kind) {
@@ -621,8 +596,6 @@ class CampaignRunner {
     core::obs::ScopedSpan span{
         kind == AppKind::Ar ? "campaign.offload_ar" : "campaign.offload_cav",
         "campaign"};
-    const apps::OffloadApp app{kind == AppKind::Ar ? apps::ar_config()
-                                                   : apps::cav_config()};
     const TestType type =
         kind == AppKind::Ar ? TestType::ArApp : TestType::CavApp;
 
@@ -646,8 +619,7 @@ class CampaignRunner {
         const std::size_t ci = measure::carrier_index(ctx.carrier);
         const LinkTrace trace =
             collect_link_trace(ctx, ticks, *servers[ci], ids[ci]);
-        const auto run = app.run(trace, compressed);
-        push_offload_run(ctx, kind, *tests[ci], trace, run);
+        push_app_run(ctx, kind, *tests[ci], trace, compressed);
       });
 
       for (auto& ctx : contexts_) {
@@ -686,7 +658,7 @@ class CampaignRunner {
       const std::size_t ci = measure::carrier_index(ctx.carrier);
       const LinkTrace trace =
           collect_link_trace(ctx, ticks, *servers[ci], ids[ci]);
-      push_long_app_run(ctx, kind, *tests[ci], trace);
+      push_app_run(ctx, kind, *tests[ci], trace);
     });
 
     for (auto& ctx : contexts_) {
@@ -694,39 +666,6 @@ class CampaignRunner {
       close_test(*tests[ci], tick_budget * kTick);
     }
     drain_pending_cities();
-  }
-
-  void push_long_app_run(CarrierContext& ctx, AppKind kind,
-                         const TestRecord& test, const LinkTrace& trace) {
-    measure::AppRunRecord r;
-    r.test_id = test.id;
-    r.app = kind;
-    r.carrier = ctx.carrier;
-    r.is_static = test.is_static;
-    r.server = test.server;
-    r.high_speed_5g_fraction = apps::high_speed_5g_fraction(trace);
-    r.handovers = apps::total_handovers(trace);
-    if (kind == AppKind::Video) {
-      apps::VideoConfig vc;
-      vc.run_duration = static_cast<Millis>(trace.size()) * kTick;
-      const auto run = apps::VideoApp{vc}.run(trace);
-      r.qoe = run.avg_qoe;
-      r.rebuffer_fraction = run.rebuffer_fraction;
-      r.avg_bitrate = run.avg_bitrate;
-      ctx.shard.rx_bytes += run.avg_bitrate * 1e6 / 8.0 *
-                            (vc.run_duration / 1000.0);
-    } else {
-      apps::GamingConfig gc;
-      gc.run_duration = static_cast<Millis>(trace.size()) * kTick;
-      const auto run = apps::GamingApp{gc}.run(trace);
-      r.gaming_bitrate = run.median_bitrate;
-      r.gaming_latency = run.median_latency;
-      r.gaming_frame_drop = run.median_frame_drop;
-      r.gaming_max_frame_drop = run.max_frame_drop;
-      ctx.shard.rx_bytes += run.median_bitrate * 1e6 / 8.0 *
-                            (gc.run_duration / 1000.0);
-    }
-    ctx.shard.app_runs.push_back(r);
   }
 
   /// Handover records, coverage tracking, unique-cell bookkeeping shared by
@@ -890,12 +829,10 @@ class CampaignRunner {
     };
 
     for (const AppKind kind : {AppKind::Ar, AppKind::Cav}) {
-      const apps::OffloadApp app{kind == AppKind::Ar ? apps::ar_config()
-                                                     : apps::cav_config()};
       for (const bool compressed : {false, true}) {
         const TestRecord& test = plan.tests[ti++];
         const LinkTrace trace = make_trace(test.id, cfg_.offload_ticks);
-        push_offload_run(ctx, kind, test, trace, app.run(trace, compressed));
+        push_app_run(ctx, kind, test, trace, compressed);
       }
     }
     for (const AppKind kind : {AppKind::Video, AppKind::Gaming}) {
@@ -903,7 +840,7 @@ class CampaignRunner {
       const int n_ticks =
           kind == AppKind::Video ? cfg_.video_ticks : cfg_.gaming_ticks;
       const LinkTrace trace = make_trace(test.id, n_ticks);
-      push_long_app_run(ctx, kind, test, trace);
+      push_app_run(ctx, kind, test, trace);
     }
   }
 
@@ -962,6 +899,68 @@ class CampaignRunner {
 };
 
 }  // namespace
+
+measure::AppRunRecord score_app_session(AppKind kind, const TestRecord& test,
+                                        const LinkTrace& trace,
+                                        bool compressed, double& rx_bytes,
+                                        double& tx_bytes) {
+  measure::AppRunRecord r;
+  r.test_id = test.id;
+  r.app = kind;
+  r.carrier = test.carrier;
+  r.is_static = test.is_static;
+  r.server = test.server;
+  r.high_speed_5g_fraction = apps::high_speed_5g_fraction(trace);
+  r.handovers = apps::total_handovers(trace);
+  if (kind == AppKind::Ar || kind == AppKind::Cav) {
+    const apps::OffloadApp app{kind == AppKind::Ar ? apps::ar_config()
+                                                   : apps::cav_config()};
+    const apps::OffloadRunResult run = app.run(trace, compressed);
+    r.compressed = run.compressed;
+    r.median_e2e = run.median_e2e;
+    r.offload_fps = run.offload_fps;
+    r.map_percent = run.map_percent;
+    // Uplink frames leave the device.
+    const double frame_kb = run.compressed
+                                ? (kind == AppKind::Ar ? 50.0 : 38.0)
+                                : (kind == AppKind::Ar ? 450.0 : 2000.0);
+    tx_bytes += static_cast<double>(run.frames.size()) * frame_kb * 1024.0;
+  } else if (kind == AppKind::Video) {
+    apps::VideoConfig vc;
+    vc.run_duration = static_cast<Millis>(trace.size()) * kTick;
+    const apps::VideoRunResult run = apps::VideoApp{vc}.run(trace);
+    r.qoe = run.avg_qoe;
+    r.rebuffer_fraction = run.rebuffer_fraction;
+    r.avg_bitrate = run.avg_bitrate;
+    rx_bytes += run.avg_bitrate * 1e6 / 8.0 * (vc.run_duration / 1000.0);
+  } else {
+    apps::GamingConfig gc;
+    gc.run_duration = static_cast<Millis>(trace.size()) * kTick;
+    const apps::GamingRunResult run = apps::GamingApp{gc}.run(trace);
+    r.gaming_bitrate = run.median_bitrate;
+    r.gaming_latency = run.median_latency;
+    r.gaming_frame_drop = run.median_frame_drop;
+    r.gaming_max_frame_drop = run.max_frame_drop;
+    rx_bytes += run.median_bitrate * 1e6 / 8.0 * (gc.run_duration / 1000.0);
+  }
+  return r;
+}
+
+measure::LinkTickRecord link_tick_record(std::uint32_t test_id, SimMillis t,
+                                         Carrier carrier,
+                                         const LinkTick& tick) {
+  measure::LinkTickRecord rec;
+  rec.test_id = test_id;
+  rec.t = t;
+  rec.carrier = carrier;
+  rec.tech = tick.tech;
+  rec.cap_dl = tick.cap_dl;
+  rec.cap_ul = tick.cap_ul;
+  rec.rtt = tick.rtt;
+  rec.interruption = tick.interruption;
+  rec.handovers = tick.handovers;
+  return rec;
+}
 
 ConsolidatedDb DriveCampaign::run() const {
   CampaignRunner runner{config_};

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 
+#include "apps/link_trace.hpp"
 #include "core/obs/manifest.hpp"
 #include "measure/records.hpp"
 #include "radio/deployment.hpp"
@@ -92,6 +93,22 @@ core::obs::RunManifest make_manifest(const CampaignConfig& cfg);
 core::obs::RunManifest run_to_bundle(const CampaignConfig& cfg,
                                      const std::string& directory,
                                      bool canonical_provenance = false);
+
+/// Run app `kind` over the link trace the session consumed (offload apps
+/// with `compressed` frames), score it as session `test`, and add the
+/// application-layer bytes it moved to `rx_bytes` / `tx_bytes`. The one app
+/// scorer of the drive campaign and of replay (src/replay/), so a replay
+/// with every knob unset reproduces the recorded app_runs rows exactly.
+measure::AppRunRecord score_app_session(measure::AppKind kind,
+                                        const measure::TestRecord& test,
+                                        const apps::LinkTrace& trace,
+                                        bool compressed, double& rx_bytes,
+                                        double& tx_bytes);
+
+/// The link_ticks.csv row of tick `tick` of session `test_id` at time `t`.
+measure::LinkTickRecord link_tick_record(std::uint32_t test_id, SimMillis t,
+                                         radio::Carrier carrier,
+                                         const apps::LinkTick& tick);
 
 class DriveCampaign {
  public:

@@ -1,6 +1,7 @@
 #include "core/json.hpp"
 
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -119,14 +120,65 @@ class Reader {
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c == '\n') doc_.fail(line_, "unterminated string");
-      if (c == '\\') {
-        if (pos_ >= text_.size()) doc_.fail(line_, "unterminated escape");
-        out.push_back(text_[pos_++]);
-      } else {
+      if (c != '\\') {
         out.push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) doc_.fail(line_, "unterminated escape");
+      const char e = text_[pos_++];
+      switch (e) {
+        case '"':
+        case '\\':
+        case '/': out.push_back(e); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': append_utf8(out, code_point()); break;
+        default:
+          doc_.fail(line_, std::string{"unknown escape '\\"} + e + "'");
       }
     }
     doc_.fail(line_, "unterminated string");
+  }
+
+  /// The code point of a \uXXXX escape (its "\u" already consumed); a
+  /// UTF-16 surrogate pair takes the second escape as well.
+  char32_t code_point() {
+    const char32_t high = hex4();
+    if (high < 0xD800 || high > 0xDFFF) return high;
+    if (high > 0xDBFF || text_.substr(pos_, 2) != "\\u") {
+      doc_.fail(line_, "lone surrogate in \\u escape");
+    }
+    pos_ += 2;
+    const char32_t low = hex4();
+    if (low < 0xDC00 || low > 0xDFFF) {
+      doc_.fail(line_, "lone surrogate in \\u escape");
+    }
+    return 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00);
+  }
+
+  char32_t hex4() {
+    const std::string_view digits = text_.substr(pos_, 4);
+    unsigned v = 0;
+    const auto [end, ec] =
+        std::from_chars(digits.data(), digits.data() + digits.size(), v, 16);
+    if (digits.size() != 4 || ec != std::errc{} ||
+        end != digits.data() + digits.size()) {
+      doc_.fail(line_, "malformed \\u escape");
+    }
+    pos_ += 4;
+    return v;
+  }
+
+  static void append_utf8(std::string& out, char32_t cp) {
+    const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    constexpr char32_t kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+    out.push_back(static_cast<char>(kLead[tail] | (cp >> (6 * tail))));
+    for (int i = tail - 1; i >= 0; --i) {
+      out.push_back(static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3F)));
+    }
   }
 
   void literal(std::string_view word) {
@@ -283,9 +335,22 @@ std::vector<double> Doc::doubles(const Value& v) const {
 
 std::string escape(std::string_view s) {
   std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
   }
   return out;
 }

@@ -87,8 +87,10 @@ class Doc {
   int first_line_ = 1;
 };
 
-/// Escape `s` for embedding in a JSON string literal (backslash and quote;
-/// the dataset's strings carry no control characters).
+/// Escape `s` for embedding in a JSON string literal: quote and backslash,
+/// \n \r \t, and \u00XX for the other control characters — so a rendered
+/// string never spans lines (wheelsd frames messages by newline) and the
+/// reader decodes it back to `s`.
 std::string escape(std::string_view s);
 
 }  // namespace wheels::core::json

@@ -20,7 +20,7 @@
 #include <utility>
 
 #include "ingest/adapters.hpp"
-#include "ingest/trace_text.hpp"
+#include "measure/csv_codec.hpp"
 
 namespace wheels::ingest {
 
@@ -91,9 +91,13 @@ class MahimahiAdapter final : public TraceAdapter {
     bool have_window = false;
     while (lines.next_batch(batch)) {
       for (const LineRef& line : batch) {
-        const SimMillis t = parse_trace_time_ms(line.text, line.number);
+        const SimMillis t = measure::csv::parse_i64(line.text, line.number);
+        if (t < 0) {
+          measure::csv::fail(line.number,
+                             "negative time '" + std::string{line.text} + "'");
+        }
         if (t < last) {
-          trace_fail(line.number, "time going backwards");
+          measure::csv::fail(line.number, "time going backwards");
         }
         last = t;
         const SimMillis w = t / tick;
@@ -112,7 +116,7 @@ class MahimahiAdapter final : public TraceAdapter {
       }
     }
     if (!have_window) {
-      trace_fail(lines.line_number(), "trace has no data rows");
+      measure::csv::fail(lines.line_number(), "trace has no data rows");
     }
     emit_window(window, count);
     out.finish();

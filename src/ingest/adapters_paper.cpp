@@ -11,7 +11,6 @@
 // the row count). RTTs live in a separate rtts.csv table;
 // attach_paper_rtts() / make_paper_rtt_overlay() overlay one when
 // available, otherwise the configured fill applies.
-#include <charconv>
 #include <istream>
 #include <map>
 #include <stdexcept>
@@ -19,52 +18,21 @@
 #include <utility>
 
 #include "measure/csv_export.hpp"
+#include "measure/csv_schema.hpp"
 #include "measure/enum_names.hpp"
 
 #include "ingest/adapters.hpp"
-#include "ingest/trace_text.hpp"
 
 namespace wheels::ingest {
 
 namespace {
 
-// Mirrors measure/csv_export.cpp's kKpiHeader; the full-bundle reader over
-// there and this partial-release parser must accept the same table.
-constexpr std::string_view kKpiHeader =
-    "test_id,t,carrier,tech,cell_id,rsrp,mcs,bler,ca,throughput,speed,km,"
-    "map_km,tz,region,handovers,server,direction,is_static";
-constexpr std::size_t kKpiColumns = 19;
+namespace csv = measure::csv;
+namespace schema = measure::schema;
 
-bool starts_with(const std::string& s, std::string_view prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
-[[noreturn]] void csv_fail(std::size_t line, const std::string& msg) {
-  throw std::runtime_error{"csv: line " + std::to_string(line) + ": " + msg};
-}
-
-SimMillis csv_i64(std::string_view cell, std::size_t line) {
-  if (cell.empty()) csv_fail(line, "empty integer field");
-  SimMillis v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(cell.data(), cell.data() + cell.size(), v);
-  if (ec == std::errc::result_out_of_range) {
-    csv_fail(line, "integer out of range '" + std::string{cell} + "'");
-  }
-  if (ec != std::errc{} || ptr != cell.data() + cell.size()) {
-    csv_fail(line, "malformed integer '" + std::string{cell} + "'");
-  }
-  return v;
-}
-
-template <typename Parser>
-auto csv_enum(std::string_view cell, std::size_t line, Parser parser) {
-  try {
-    return parser(cell);
-  } catch (const std::runtime_error& e) {
-    csv_fail(line, e.what());
-  }
+const csv::TableShape& kpi_shape() {
+  static const csv::TableShape shape{schema::header(schema::kKpis)};
+  return shape;
 }
 
 class PaperTablesAdapter final : public TraceAdapter {
@@ -77,8 +45,7 @@ class PaperTablesAdapter final : public TraceAdapter {
   }
 
   int sniff(const SniffInput& input) const override {
-    if (input.head.empty()) return 0;
-    return starts_with(input.head.front(), "test_id,t,carrier,tech,cell_id")
+    return !input.head.empty() && input.head.front() == kpi_shape().header
                ? 95
                : 0;
   }
@@ -89,16 +56,11 @@ class PaperTablesAdapter final : public TraceAdapter {
       throw std::runtime_error{"paper tables: default rtt must be > 0"};
     }
 
+    const csv::TableShape& shape = kpi_shape();
     std::vector<LineRef> batch;
-    if (!lines.next_batch(batch)) {
-      csv_fail(1, "missing header, expected '" + std::string{kKpiHeader} +
-                      "'");
-    }
-    if (batch.front().text != kKpiHeader) {
-      csv_fail(batch.front().number,
-               "unexpected header '" + std::string{batch.front().text} +
-                   "', expected '" + std::string{kKpiHeader} + "'");
-    }
+    const bool any = lines.next_batch(batch);
+    shape.check_header(any ? &batch.front().text : nullptr,
+                       any ? batch.front().number : 1);
     std::size_t row = 1;
 
     struct Accumulator {
@@ -119,30 +81,20 @@ class PaperTablesAdapter final : public TraceAdapter {
       const std::string_view text = batch[row].text;
       const std::size_t line_no = batch[row].number;
       ++row;
-      if (text == kKpiHeader) csv_fail(line_no, "duplicated header");
-      split_trace_row(text, cells);
-      if (cells.size() != kKpiColumns) {
-        csv_fail(line_no, "expected " + std::to_string(kKpiColumns) +
-                              " fields, got " +
-                              std::to_string(cells.size()));
-      }
-      const auto carrier =
-          csv_enum(cells[2], line_no, measure::names::parse_carrier);
-      if (carrier != options.carrier) continue;
+      if (!shape.split(text, line_no, cells)) continue;
+      measure::KpiRecord k;
+      schema::decode_row(schema::kKpis, cells, line_no, k);
+      if (k.carrier != options.carrier) continue;
       ++rows;
-      Accumulator& acc = by_t[csv_i64(cells[1], line_no)];
-      const auto direction =
-          csv_enum(cells[17], line_no, measure::names::parse_direction);
-      const double throughput = parse_trace_double(cells[9], line_no);
-      if (direction == radio::Direction::Downlink) {
-        acc.dl_sum += throughput;
+      Accumulator& acc = by_t[k.t];
+      if (k.direction == radio::Direction::Downlink) {
+        acc.dl_sum += k.throughput;
         ++acc.dl_n;
       } else {
-        acc.ul_sum += throughput;
+        acc.ul_sum += k.throughput;
         ++acc.ul_n;
       }
-      acc.tech = csv_enum(cells[3], line_no,
-                          measure::names::parse_technology);
+      acc.tech = k.tech;
     }
     if (rows == 0) {
       throw std::runtime_error{

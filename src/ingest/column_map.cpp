@@ -6,12 +6,14 @@
 
 #include "ingest/chunked_reader.hpp"
 #include "ingest/stream.hpp"
-#include "ingest/trace_text.hpp"
+#include "measure/csv_codec.hpp"
 #include "measure/enum_names.hpp"
 
 namespace wheels::ingest {
 
 namespace {
+
+namespace csv = measure::csv;
 
 constexpr std::size_t kMissing = static_cast<std::size_t>(-1);
 
@@ -21,7 +23,7 @@ std::size_t find_column(const std::vector<std::string>& header,
   for (std::size_t i = 0; i < header.size(); ++i) {
     if (header[i] != name) continue;
     if (found != kMissing) {
-      trace_fail(line, "duplicated column '" + name + "'");
+      csv::fail(line, "duplicated column '" + name + "'");
     }
     found = i;
   }
@@ -36,7 +38,7 @@ radio::Technology parse_tech(const ColumnMap& map, std::string_view cell,
   try {
     return measure::names::parse_technology(cell);
   } catch (const std::runtime_error& e) {
-    trace_fail(line, e.what());
+    csv::fail(line, e.what());
   }
 }
 
@@ -50,14 +52,14 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
 
   std::vector<LineRef> batch;
   if (!lines.next_batch(batch)) {
-    trace_fail(lines.line_number(), "empty trace");
+    csv::fail(lines.line_number(), "empty trace");
   }
   std::size_t row = 0;  // cursor into the current batch
 
   // Bind the header row. The header is tiny and owned — batch views die at
   // the next pull, so the column names are copied out.
   std::vector<std::string_view> cells;
-  split_trace_row(batch[row].text, cells);
+  csv::split_row(batch[row].text, cells);
   std::vector<std::string> header;
   header.reserve(cells.size());
   for (std::string_view cell : cells) header.emplace_back(cell);
@@ -67,7 +69,7 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
   const std::size_t time_idx = find_column(header, map.time_column,
                                            header_line);
   if (time_idx == kMissing) {
-    trace_fail(header_line, "missing time column '" + map.time_column + "'");
+    csv::fail(header_line, "missing time column '" + map.time_column + "'");
   }
   struct Bound {
     const ColumnRule* rule;
@@ -80,7 +82,7 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
   for (const ColumnRule& rule : map.rules) {
     const std::size_t idx = find_column(header, rule.source, header_line);
     if (idx == kMissing && !rule.fill.has_value()) {
-      trace_fail(header_line, "missing column '" + rule.source + "'");
+      csv::fail(header_line, "missing column '" + rule.source + "'");
     }
     if (idx != kMissing) mapped[idx] = true;
     bound.push_back({&rule, idx});
@@ -93,7 +95,7 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
   if (!map.allow_extra_columns) {
     for (std::size_t i = 0; i < header.size(); ++i) {
       if (!mapped[i]) {
-        trace_fail(header_line, "unmapped column '" + header[i] + "'");
+        csv::fail(header_line, "unmapped column '" + header[i] + "'");
       }
     }
   }
@@ -108,16 +110,16 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
       row = 0;
     }
     const std::size_t line_no = batch[row].number;
-    split_trace_row(batch[row].text, cells);
+    csv::split_row(batch[row].text, cells);
     ++row;
     if (cells.size() != header.size()) {
-      trace_fail(line_no, "expected " + std::to_string(header.size()) +
+      csv::fail(line_no, "expected " + std::to_string(header.size()) +
                               " columns, got " +
                               std::to_string(cells.size()));
     }
 
-    double raw_t = parse_trace_double(cells[time_idx], line_no);
-    if (raw_t < 0.0) trace_fail(line_no, "negative time");
+    double raw_t = csv::parse_double(cells[time_idx], line_no);
+    if (raw_t < 0.0) csv::fail(line_no, "negative time");
     if (map.rebase_time) {
       if (!time_base.has_value()) time_base = raw_t;
       raw_t -= *time_base;
@@ -130,7 +132,7 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
       const double v =
           b.index == kMissing
               ? *b.rule->fill
-              : parse_trace_double(cells[b.index], line_no) * b.rule->scale;
+              : csv::parse_double(cells[b.index], line_no) * b.rule->scale;
       switch (b.rule->field) {
         case Field::CapDl:
           p.cap_dl_mbps = v;
@@ -144,25 +146,25 @@ void parse_with_map(LineSource& lines, const ColumnMap& map,
       }
     }
     if (p.cap_dl_mbps < 0.0 || p.cap_ul_mbps < 0.0) {
-      trace_fail(line_no, "negative capacity");
+      csv::fail(line_no, "negative capacity");
     }
-    if (p.rtt_ms <= 0.0) trace_fail(line_no, "rtt must be > 0");
+    if (p.rtt_ms <= 0.0) csv::fail(line_no, "rtt must be > 0");
 
     p.tech = tech_idx == kMissing ? default_tech
                                   : parse_tech(map, cells[tech_idx], line_no);
 
     if (have_prev && p.t < prev_t) {
-      trace_fail(line_no, "time going backwards");
+      csv::fail(line_no, "time going backwards");
     }
     if (have_prev && p.t == prev_t) {
-      trace_fail(line_no, "duplicate time " + std::to_string(p.t));
+      csv::fail(line_no, "duplicate time " + std::to_string(p.t));
     }
     prev_t = p.t;
     have_prev = true;
     out.push(p);
   }
   if (!have_prev) {
-    trace_fail(lines.line_number(), "trace has no data rows");
+    csv::fail(lines.line_number(), "trace has no data rows");
   }
   out.finish();
 }

@@ -177,6 +177,12 @@ FleetSpec parse_fleet_spec(const std::string& spec) {
   }
   out.is_trace = out.path.size() >= 4 &&
                  out.path.compare(out.path.size() - 4, 4, ".csv") == 0;
+  // A bundle records its own carriers: a suffix there would be ignored.
+  if (!out.is_trace && out.path != spec) {
+    throw std::runtime_error{"fleet: " + spec +
+                             ": a @carrier suffix applies only to a .csv "
+                             "trace, not to bundle directory " + out.path};
+  }
   return out;
 }
 

@@ -63,8 +63,9 @@ replay::ReplayBundle ingest_join(const std::string& format,
                                  const JoinOptions& join);
 
 /// One fleet path spec: a dataset directory, or an external trace (a path
-/// ending in ".csv"). Either may carry an "@carrier" suffix (a canonical
-/// carrier name, default Verizon) — it tags the bundle lifted from a trace.
+/// ending in ".csv"). A trace may carry an "@carrier" suffix (a canonical
+/// carrier name, default Verizon) that tags the bundle lifted from it; a
+/// directory may not, since its bundle records its own carriers.
 struct FleetSpec {
   std::string path;
   radio::Carrier carrier = radio::Carrier::Verizon;
@@ -72,7 +73,8 @@ struct FleetSpec {
 };
 
 /// Split `spec` into path, carrier and kind. Throws std::runtime_error on a
-/// suffix that is not a carrier name.
+/// suffix that is not a carrier name, or on a carrier suffix after a path
+/// that is not a .csv trace.
 FleetSpec parse_fleet_spec(const std::string& spec);
 
 /// Load one fleet bundle: read_dataset for a directory; for a trace,

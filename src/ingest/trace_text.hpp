@@ -1,19 +1,18 @@
-// Shared strict-text helpers for trace ingestion.
+// Line input of the shared trace dialect.
 //
 // Every ingest adapter reads text formats published by third parties, so
 // they share one dialect: '#'-prefixed comment lines and blank lines are
 // skipped anywhere (published traces carry both), CRLF endings are
-// accepted, numbers must parse full-string and finite, and every diagnostic
-// carries the physical 1-based line number of the offending line —
-// skipping a line never renumbers the ones after it.
+// accepted, and every diagnostic carries the physical 1-based line number
+// of the offending line — skipping a line never renumbers the ones after
+// it. Cells within a line go through the strict codec every CSV reader of
+// the repository shares (measure/csv_codec.hpp: row split, full-string
+// finite numbers, "line N: ..." errors).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
-#include <string_view>
-#include <vector>
-
-#include "core/sim_time.hpp"
 
 namespace wheels::ingest {
 
@@ -34,20 +33,5 @@ class TraceLineReader {
   std::istream& is_;
   std::size_t line_ = 0;
 };
-
-/// Split one CSV row on ',' (CR already stripped by the line source):
-/// refill `cells` with views into `line`, valid only as long as its buffer.
-void split_trace_row(std::string_view line, std::vector<std::string_view>& cells);
-
-/// Full-string strtod with a finiteness check. Throws std::runtime_error
-/// "line N: ..." on malformed input (callers prefix their own context).
-/// The cell need not be NUL-terminated.
-double parse_trace_double(std::string_view cell, std::size_t line);
-
-/// Non-negative integer milliseconds, full-string. Throws like above.
-SimMillis parse_trace_time_ms(std::string_view cell, std::size_t line);
-
-/// Throws std::runtime_error{"line N: msg"}.
-[[noreturn]] void trace_fail(std::size_t line, const std::string& msg);
 
 }  // namespace wheels::ingest

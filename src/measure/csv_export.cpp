@@ -1,68 +1,21 @@
 #include "measure/csv_export.hpp"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "core/obs/metrics.hpp"
+#include "measure/csv_codec.hpp"
+#include "measure/csv_schema.hpp"
 #include "measure/enum_names.hpp"
 
 namespace wheels::measure {
 
 namespace {
-
-// The default ostream precision (6 significant digits) silently rounds
-// doubles on the way out, so a written-then-read bundle was NOT the database
-// that produced it. max_digits10 (17) guarantees the decimal text converts
-// back to the identical bits (verified by tests/test_csv_export.cpp).
-class LosslessDoubles {
- public:
-  explicit LosslessDoubles(std::ostream& os)
-      : os_(os),
-        saved_(os.precision(std::numeric_limits<double>::max_digits10)) {}
-  ~LosslessDoubles() { os_.precision(saved_); }
-  LosslessDoubles(const LosslessDoubles&) = delete;
-  LosslessDoubles& operator=(const LosslessDoubles&) = delete;
-
- private:
-  std::ostream& os_;
-  std::streamsize saved_;
-};
-
-constexpr char kTestHeader[] =
-    "id,type,carrier,is_static,start,end,start_km,end_km,tz,server,"
-    "direction,cycle";
-
-constexpr char kKpiHeader[] =
-    "test_id,t,carrier,tech,cell_id,rsrp,mcs,bler,ca,throughput,speed,km,"
-    "map_km,tz,region,handovers,server,direction,is_static";
-
-constexpr char kRttHeader[] =
-    "test_id,t,carrier,tech,rtt,speed,tz,server,is_static";
-
-constexpr char kHandoverHeader[] =
-    "test_id,carrier,direction,t,duration,from_tech,to_tech,from_cell,"
-    "to_cell,type";
-
-constexpr char kAppRunHeader[] =
-    "test_id,app,carrier,is_static,server,high_speed_5g_fraction,"
-    "handovers,compressed,median_e2e,offload_fps,map_percent,qoe,"
-    "rebuffer_fraction,avg_bitrate,gaming_bitrate,gaming_latency,"
-    "gaming_frame_drop,gaming_max_frame_drop";
-
-constexpr char kLinkTickHeader[] =
-    "test_id,t,carrier,tech,cap_dl,cap_ul,rtt,interruption,handovers";
-
-constexpr char kCellLoadHeader[] =
-    "carrier,cell_id,tech,ticks,avg_attached,avg_active,avg_demand,"
-    "avg_allocated,avg_capacity,utilization,fairness";
 
 constexpr char kCoverageHeader[] = "carrier,view,map_km_start,map_km_end,tech";
 
@@ -70,258 +23,127 @@ constexpr char kSummaryHeader[] = "key,carrier,value";
 
 constexpr char kCellsHeader[] = "carrier,view,cell_id";
 
-std::vector<std::string> split_line(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = line.find(',', start);
-    if (pos == std::string::npos) {
-      out.push_back(line.substr(start));
-      break;
-    }
-    out.push_back(line.substr(start, pos - start));
-    start = pos + 1;
+using Cells = std::vector<std::string_view>;
+
+/// The bundle file of the record table `db.*Table`, laid out by `Schema`.
+template <auto Table, const auto& Schema>
+BundleFile table_file(std::string name, bool optional = false) {
+  using Record = typename std::remove_cvref_t<
+      decltype(std::declval<ConsolidatedDb&>().*Table)>::value_type;
+  BundleFile file;
+  file.name = std::move(name);
+  if (optional) {
+    file.present = [](const ConsolidatedDb& db) {
+      return !(db.*Table).empty();
+    };
   }
-  return out;
+  file.write = [](std::ostream& os, const ConsolidatedDb& db) {
+    schema::write_table(os, Schema, db.*Table);
+  };
+  file.read = [](std::istream& is, ConsolidatedDb& db) {
+    db.*Table = schema::read_table<Record>(is, Schema);
+  };
+  return file;
 }
 
-void strip_cr(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+/// One carrier's coverage view, passive (logger) or active (tests).
+template <typename Db>
+auto& coverage(Db& db, radio::Carrier c, bool passive) {
+  const std::size_t ci = carrier_index(c);
+  return passive ? db.passive[ci].segments : db.active_coverage[ci];
 }
-
-// Strict row cursor over one CSV table. Verifies the header on construction,
-// enforces the column count per row, rejects a repeated header line, and
-// parses each field with full-string validation. Every failure throws
-// std::runtime_error citing the 1-based line number of the offending line.
-class CsvTable {
- public:
-  CsvTable(std::istream& is, const char* header, std::size_t columns)
-      : is_(is), header_(header), columns_(columns) {
-    std::string line;
-    if (!std::getline(is_, line)) {
-      throw std::runtime_error{"csv: line 1: missing header, expected '" +
-                               header_ + "'"};
-    }
-    strip_cr(line);
-    if (line != header_) {
-      throw std::runtime_error{"csv: line 1: unexpected header '" + line +
-                               "', expected '" + header_ + "'"};
-    }
-  }
-
-  /// Advances to the next data row; false at end of input. Blank lines are
-  /// skipped (the writers never emit them mid-table).
-  bool next(std::vector<std::string>& cells) {
-    std::string line;
-    while (std::getline(is_, line)) {
-      ++line_;
-      strip_cr(line);
-      if (line.empty()) continue;
-      if (line == header_) fail("duplicated header");
-      cells = split_line(line);
-      if (cells.size() != columns_) {
-        fail("expected " + std::to_string(columns_) + " fields, got " +
-             std::to_string(cells.size()));
-      }
-      return true;
-    }
-    return false;
-  }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw std::runtime_error{"csv: line " + std::to_string(line_) + ": " +
-                             msg};
-  }
-
-  double as_double(const std::string& cell) const {
-    if (cell.empty()) fail("empty numeric field");
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(cell.c_str(), &end);
-    if (end != cell.c_str() + cell.size()) {
-      fail("malformed number '" + cell + "'");
-    }
-    if (errno == ERANGE && (v == HUGE_VAL || v == -HUGE_VAL)) {
-      fail("number out of range '" + cell + "'");
-    }
-    if (!std::isfinite(v)) fail("non-finite number '" + cell + "'");
-    return v;
-  }
-
-  long long as_i64(const std::string& cell) const {
-    if (cell.empty()) fail("empty integer field");
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(cell.c_str(), &end, 10);
-    if (end != cell.c_str() + cell.size()) {
-      fail("malformed integer '" + cell + "'");
-    }
-    if (errno == ERANGE) fail("integer out of range '" + cell + "'");
-    return v;
-  }
-
-  int as_int(const std::string& cell) const {
-    const long long v = as_i64(cell);
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      fail("integer out of range '" + cell + "'");
-    }
-    return static_cast<int>(v);
-  }
-
-  std::uint32_t as_u32(const std::string& cell) const {
-    const long long v = as_i64(cell);
-    if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
-      fail("id out of range '" + cell + "'");
-    }
-    return static_cast<std::uint32_t>(v);
-  }
-
-  bool as_bool(const std::string& cell) const {
-    if (cell == "0") return false;
-    if (cell == "1") return true;
-    fail("malformed bool '" + cell + "' (expected 0 or 1)");
-  }
-
-  /// Runs one of the names::parse_* lookups, re-raising its "unknown ...
-  /// name" error with this row's line number attached.
-  template <typename Parser>
-  auto as_enum(const std::string& cell, Parser parser) const {
-    try {
-      return parser(cell);
-    } catch (const std::runtime_error& e) {
-      fail(e.what());
-    }
-  }
-
- private:
-  std::istream& is_;
-  std::string header_;
-  std::size_t columns_;
-  std::size_t line_ = 1;  // the header occupies line 1
-};
 
 }  // namespace
 
 std::string csv_double(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
+  char buf[csv::kMaxDoubleChars];
+  return std::string(buf, csv::format_double(buf, v));
 }
 
 void write_tests_csv(std::ostream& os, const ConsolidatedDb& db) {
-  LosslessDoubles guard{os};
-  os << kTestHeader << '\n';
-  for (const auto& t : db.tests) {
-    os << t.id << ',' << names::to_name(t.type) << ','
-       << names::to_name(t.carrier) << ',' << t.is_static << ',' << t.start
-       << ',' << t.end << ',' << t.start_km << ',' << t.end_km << ','
-       << names::to_name(t.tz) << ',' << names::to_name(t.server) << ','
-       << names::to_name(t.direction) << ',' << t.cycle << '\n';
-  }
+  schema::write_table(os, schema::kTests, db.tests);
 }
-
 void write_kpis_csv(std::ostream& os, const ConsolidatedDb& db) {
-  LosslessDoubles guard{os};
-  os << kKpiHeader << '\n';
-  for (const auto& k : db.kpis) {
-    os << k.test_id << ',' << k.t << ',' << names::to_name(k.carrier) << ','
-       << names::to_name(k.tech) << ',' << k.cell_id << ',' << k.rsrp << ','
-       << k.mcs << ',' << k.bler << ',' << k.ca << ',' << k.throughput << ','
-       << k.speed << ',' << k.km << ',' << k.map_km << ','
-       << names::to_name(k.tz) << ',' << names::to_name(k.region) << ','
-       << k.handovers << ',' << names::to_name(k.server) << ','
-       << names::to_name(k.direction) << ',' << k.is_static << '\n';
-  }
+  schema::write_table(os, schema::kKpis, db.kpis);
 }
-
 void write_rtts_csv(std::ostream& os, const ConsolidatedDb& db) {
-  LosslessDoubles guard{os};
-  os << kRttHeader << '\n';
-  for (const auto& r : db.rtts) {
-    os << r.test_id << ',' << r.t << ',' << names::to_name(r.carrier) << ','
-       << names::to_name(r.tech) << ',' << r.rtt << ',' << r.speed << ','
-       << names::to_name(r.tz) << ',' << names::to_name(r.server) << ','
-       << r.is_static << '\n';
-  }
+  schema::write_table(os, schema::kRtts, db.rtts);
 }
-
 void write_handovers_csv(std::ostream& os, const ConsolidatedDb& db) {
-  LosslessDoubles guard{os};
-  os << kHandoverHeader << '\n';
-  for (const auto& h : db.handovers) {
-    os << h.test_id << ',' << names::to_name(h.carrier) << ','
-       << names::to_name(h.direction) << ',' << h.event.t << ','
-       << h.event.duration << ',' << names::to_name(h.event.from) << ','
-       << names::to_name(h.event.to) << ',' << h.event.from_cell << ','
-       << h.event.to_cell << ',' << names::to_name(h.event.type) << '\n';
-  }
+  schema::write_table(os, schema::kHandovers, db.handovers);
 }
-
 void write_app_runs_csv(std::ostream& os, const ConsolidatedDb& db) {
-  LosslessDoubles guard{os};
-  os << kAppRunHeader << '\n';
-  for (const auto& r : db.app_runs) {
-    os << r.test_id << ',' << names::to_name(r.app) << ','
-       << names::to_name(r.carrier) << ',' << r.is_static << ','
-       << names::to_name(r.server) << ',' << r.high_speed_5g_fraction << ','
-       << r.handovers << ',' << r.compressed << ',' << r.median_e2e << ','
-       << r.offload_fps << ',' << r.map_percent << ',' << r.qoe << ','
-       << r.rebuffer_fraction << ',' << r.avg_bitrate << ','
-       << r.gaming_bitrate << ',' << r.gaming_latency << ','
-       << r.gaming_frame_drop << ',' << r.gaming_max_frame_drop << '\n';
-  }
+  schema::write_table(os, schema::kAppRuns, db.app_runs);
 }
-
 void write_link_ticks_csv(std::ostream& os, const ConsolidatedDb& db) {
-  LosslessDoubles guard{os};
-  os << kLinkTickHeader << '\n';
-  for (const auto& l : db.link_ticks) {
-    os << l.test_id << ',' << l.t << ',' << names::to_name(l.carrier) << ','
-       << names::to_name(l.tech) << ',' << l.cap_dl << ',' << l.cap_ul << ','
-       << l.rtt << ',' << l.interruption << ',' << l.handovers << '\n';
-  }
+  schema::write_table(os, schema::kLinkTicks, db.link_ticks);
+}
+void write_cell_load_csv(std::ostream& os, const ConsolidatedDb& db) {
+  schema::write_table(os, schema::kCellLoad, db.cell_load);
 }
 
-void write_cell_load_csv(std::ostream& os, const ConsolidatedDb& db) {
-  LosslessDoubles guard{os};
-  os << kCellLoadHeader << '\n';
-  for (const auto& c : db.cell_load) {
-    os << names::to_name(c.carrier) << ',' << c.cell_id << ','
-       << names::to_name(c.tech) << ',' << c.ticks << ',' << c.avg_attached
-       << ',' << c.avg_active << ',' << c.avg_demand << ',' << c.avg_allocated
-       << ',' << c.avg_capacity << ',' << c.utilization << ',' << c.fairness
-       << '\n';
-  }
+std::vector<TestRecord> read_tests_csv(std::istream& is) {
+  return schema::read_table<TestRecord>(is, schema::kTests);
+}
+std::vector<KpiRecord> read_kpis_csv(std::istream& is) {
+  return schema::read_table<KpiRecord>(is, schema::kKpis);
+}
+std::vector<RttRecord> read_rtts_csv(std::istream& is) {
+  return schema::read_table<RttRecord>(is, schema::kRtts);
+}
+std::vector<HandoverRecord> read_handovers_csv(std::istream& is) {
+  return schema::read_table<HandoverRecord>(is, schema::kHandovers);
+}
+std::vector<AppRunRecord> read_app_runs_csv(std::istream& is) {
+  return schema::read_table<AppRunRecord>(is, schema::kAppRuns);
+}
+std::vector<LinkTickRecord> read_link_ticks_csv(std::istream& is) {
+  return schema::read_table<LinkTickRecord>(is, schema::kLinkTicks);
+}
+std::vector<CellLoadRecord> read_cell_load_csv(std::istream& is) {
+  return schema::read_table<CellLoadRecord>(is, schema::kCellLoad);
 }
 
 void write_coverage_csv(std::ostream& os,
                         const std::vector<CoverageSegment>& segments,
                         radio::Carrier carrier, bool passive) {
-  LosslessDoubles guard{os};
-  os << kCoverageHeader << '\n';
+  csv::Writer out{os};
+  out.text(kCoverageHeader);
+  out.put('\n');
+  const std::string prefix = std::string{names::to_name(carrier)} +
+                             (passive ? ",passive," : ",active,");
   for (const auto& s : segments) {
-    os << names::to_name(carrier) << ',' << (passive ? "passive" : "active")
-       << ',' << s.map_km_start << ',' << s.map_km_end << ','
-       << names::to_name(s.tech) << '\n';
+    out.text(prefix);
+    out.cell(s.map_km_start);
+    out.put(',');
+    out.cell(s.map_km_end);
+    out.put(',');
+    out.text(names::to_name(s.tech));
+    out.put('\n');
   }
 }
 
 void write_summary_csv(std::ostream& os, const ConsolidatedDb& db) {
-  LosslessDoubles guard{os};
-  os << kSummaryHeader << '\n';
-  os << "driven_km,," << db.driven_km << '\n';
-  os << "rx_bytes,," << db.rx_bytes << '\n';
-  os << "tx_bytes,," << db.tx_bytes << '\n';
+  csv::Writer out{os};
+  const auto row = [&](std::string_view key, std::string_view carrier,
+                       auto value) {
+    out.text(key);
+    out.put(',');
+    out.text(carrier);
+    out.put(',');
+    out.cell(value);
+    out.put('\n');
+  };
+  out.text(kSummaryHeader);
+  out.put('\n');
+  row("driven_km", "", db.driven_km);
+  row("rx_bytes", "", db.rx_bytes);
+  row("tx_bytes", "", db.tx_bytes);
   for (radio::Carrier c : radio::kAllCarriers) {
     const std::size_t ci = carrier_index(c);
-    os << "experiment_runtime," << names::to_name(c) << ','
-       << db.experiment_runtime[ci] << '\n';
-    os << "passive_handovers," << names::to_name(c) << ','
-       << db.passive[ci].handovers << '\n';
-    os << "passive_pings," << names::to_name(c) << ',' << db.passive[ci].pings
-       << '\n';
+    row("experiment_runtime", names::to_name(c), db.experiment_runtime[ci]);
+    row("passive_handovers", names::to_name(c), db.passive[ci].handovers);
+    row("passive_pings", names::to_name(c), db.passive[ci].pings);
   }
 }
 
@@ -338,248 +160,122 @@ void write_cells_csv(std::ostream& os, const ConsolidatedDb& db) {
   }
 }
 
-std::vector<TestRecord> read_tests_csv(std::istream& is) {
-  CsvTable table{is, kTestHeader, 12};
-  std::vector<TestRecord> out;
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    TestRecord t;
-    t.id = table.as_u32(cells[0]);
-    t.type = table.as_enum(cells[1], names::parse_test_type);
-    t.carrier = table.as_enum(cells[2], names::parse_carrier);
-    t.is_static = table.as_bool(cells[3]);
-    t.start = table.as_i64(cells[4]);
-    t.end = table.as_i64(cells[5]);
-    t.start_km = table.as_double(cells[6]);
-    t.end_km = table.as_double(cells[7]);
-    t.tz = table.as_enum(cells[8], names::parse_timezone);
-    t.server = table.as_enum(cells[9], names::parse_server_kind);
-    t.direction = table.as_enum(cells[10], names::parse_direction);
-    t.cycle = table.as_int(cells[11]);
-    out.push_back(t);
-  }
-  return out;
-}
-
-std::vector<KpiRecord> read_kpis_csv(std::istream& is) {
-  CsvTable table{is, kKpiHeader, 19};
-  std::vector<KpiRecord> out;
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    KpiRecord k;
-    k.test_id = table.as_u32(cells[0]);
-    k.t = table.as_i64(cells[1]);
-    k.carrier = table.as_enum(cells[2], names::parse_carrier);
-    k.tech = table.as_enum(cells[3], names::parse_technology);
-    k.cell_id = table.as_u32(cells[4]);
-    k.rsrp = table.as_double(cells[5]);
-    k.mcs = table.as_int(cells[6]);
-    k.bler = table.as_double(cells[7]);
-    k.ca = table.as_int(cells[8]);
-    k.throughput = table.as_double(cells[9]);
-    k.speed = table.as_double(cells[10]);
-    k.km = table.as_double(cells[11]);
-    k.map_km = table.as_double(cells[12]);
-    k.tz = table.as_enum(cells[13], names::parse_timezone);
-    k.region = table.as_enum(cells[14], names::parse_region);
-    k.handovers = table.as_int(cells[15]);
-    k.server = table.as_enum(cells[16], names::parse_server_kind);
-    k.direction = table.as_enum(cells[17], names::parse_direction);
-    k.is_static = table.as_bool(cells[18]);
-    out.push_back(k);
-  }
-  return out;
-}
-
-std::vector<RttRecord> read_rtts_csv(std::istream& is) {
-  CsvTable table{is, kRttHeader, 9};
-  std::vector<RttRecord> out;
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    RttRecord r;
-    r.test_id = table.as_u32(cells[0]);
-    r.t = table.as_i64(cells[1]);
-    r.carrier = table.as_enum(cells[2], names::parse_carrier);
-    r.tech = table.as_enum(cells[3], names::parse_technology);
-    r.rtt = table.as_double(cells[4]);
-    r.speed = table.as_double(cells[5]);
-    r.tz = table.as_enum(cells[6], names::parse_timezone);
-    r.server = table.as_enum(cells[7], names::parse_server_kind);
-    r.is_static = table.as_bool(cells[8]);
-    out.push_back(r);
-  }
-  return out;
-}
-
-std::vector<HandoverRecord> read_handovers_csv(std::istream& is) {
-  CsvTable table{is, kHandoverHeader, 10};
-  std::vector<HandoverRecord> out;
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    HandoverRecord h;
-    h.test_id = table.as_u32(cells[0]);
-    h.carrier = table.as_enum(cells[1], names::parse_carrier);
-    h.direction = table.as_enum(cells[2], names::parse_direction);
-    h.event.t = table.as_i64(cells[3]);
-    h.event.duration = table.as_double(cells[4]);
-    h.event.from = table.as_enum(cells[5], names::parse_technology);
-    h.event.to = table.as_enum(cells[6], names::parse_technology);
-    h.event.from_cell = table.as_u32(cells[7]);
-    h.event.to_cell = table.as_u32(cells[8]);
-    h.event.type = table.as_enum(cells[9], names::parse_handover_type);
-    out.push_back(h);
-  }
-  return out;
-}
-
-std::vector<AppRunRecord> read_app_runs_csv(std::istream& is) {
-  CsvTable table{is, kAppRunHeader, 18};
-  std::vector<AppRunRecord> out;
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    AppRunRecord r;
-    r.test_id = table.as_u32(cells[0]);
-    r.app = table.as_enum(cells[1], names::parse_app_kind);
-    r.carrier = table.as_enum(cells[2], names::parse_carrier);
-    r.is_static = table.as_bool(cells[3]);
-    r.server = table.as_enum(cells[4], names::parse_server_kind);
-    r.high_speed_5g_fraction = table.as_double(cells[5]);
-    r.handovers = table.as_int(cells[6]);
-    r.compressed = table.as_bool(cells[7]);
-    r.median_e2e = table.as_double(cells[8]);
-    r.offload_fps = table.as_double(cells[9]);
-    r.map_percent = table.as_double(cells[10]);
-    r.qoe = table.as_double(cells[11]);
-    r.rebuffer_fraction = table.as_double(cells[12]);
-    r.avg_bitrate = table.as_double(cells[13]);
-    r.gaming_bitrate = table.as_double(cells[14]);
-    r.gaming_latency = table.as_double(cells[15]);
-    r.gaming_frame_drop = table.as_double(cells[16]);
-    r.gaming_max_frame_drop = table.as_double(cells[17]);
-    out.push_back(r);
-  }
-  return out;
-}
-
 std::vector<CoverageSegment> read_coverage_csv(std::istream& is,
                                                radio::Carrier expected_carrier,
                                                bool expected_passive) {
-  CsvTable table{is, kCoverageHeader, 5};
   std::vector<CoverageSegment> out;
-  std::vector<std::string> cells;
-  const std::string expected_view = expected_passive ? "passive" : "active";
-  while (table.next(cells)) {
-    const auto carrier = table.as_enum(cells[0], names::parse_carrier);
+  const std::string_view expected_view =
+      expected_passive ? "passive" : "active";
+  csv::read_rows(is, csv::TableShape{kCoverageHeader}, [&](const Cells& cells,
+                                                           std::size_t line) {
+    radio::Carrier carrier{};
+    schema::read_cell(cells[0], line, carrier);
     if (carrier != expected_carrier) {
-      table.fail("carrier '" + cells[0] + "' does not match the file's '" +
-                 std::string{names::to_name(expected_carrier)} + "'");
+      csv::fail(line, "carrier '" + std::string{cells[0]} +
+                          "' does not match the file's '" +
+                          std::string{names::to_name(expected_carrier)} + "'");
     }
     if (cells[1] != expected_view) {
-      table.fail("view '" + cells[1] + "' does not match the file's '" +
-                 expected_view + "'");
+      csv::fail(line, "view '" + std::string{cells[1]} +
+                          "' does not match the file's '" +
+                          std::string{expected_view} + "'");
     }
-    CoverageSegment s;
-    s.map_km_start = table.as_double(cells[2]);
-    s.map_km_end = table.as_double(cells[3]);
-    s.tech = table.as_enum(cells[4], names::parse_technology);
-    out.push_back(s);
-  }
-  return out;
-}
-
-std::vector<LinkTickRecord> read_link_ticks_csv(std::istream& is) {
-  CsvTable table{is, kLinkTickHeader, 9};
-  std::vector<LinkTickRecord> out;
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    LinkTickRecord l;
-    l.test_id = table.as_u32(cells[0]);
-    l.t = table.as_i64(cells[1]);
-    l.carrier = table.as_enum(cells[2], names::parse_carrier);
-    l.tech = table.as_enum(cells[3], names::parse_technology);
-    l.cap_dl = table.as_double(cells[4]);
-    l.cap_ul = table.as_double(cells[5]);
-    l.rtt = table.as_double(cells[6]);
-    l.interruption = table.as_double(cells[7]);
-    l.handovers = table.as_int(cells[8]);
-    out.push_back(l);
-  }
-  return out;
-}
-
-std::vector<CellLoadRecord> read_cell_load_csv(std::istream& is) {
-  CsvTable table{is, kCellLoadHeader, 11};
-  std::vector<CellLoadRecord> out;
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    CellLoadRecord c;
-    c.carrier = table.as_enum(cells[0], names::parse_carrier);
-    c.cell_id = table.as_u32(cells[1]);
-    c.tech = table.as_enum(cells[2], names::parse_technology);
-    c.ticks = table.as_i64(cells[3]);
-    c.avg_attached = table.as_double(cells[4]);
-    c.avg_active = table.as_double(cells[5]);
-    c.avg_demand = table.as_double(cells[6]);
-    c.avg_allocated = table.as_double(cells[7]);
-    c.avg_capacity = table.as_double(cells[8]);
-    c.utilization = table.as_double(cells[9]);
-    c.fairness = table.as_double(cells[10]);
-    out.push_back(c);
-  }
+    CoverageSegment& s = out.emplace_back();
+    schema::read_cell(cells[2], line, s.map_km_start);
+    schema::read_cell(cells[3], line, s.map_km_end);
+    schema::read_cell(cells[4], line, s.tech);
+  });
   return out;
 }
 
 void read_summary_csv(std::istream& is, ConsolidatedDb& db) {
-  CsvTable table{is, kSummaryHeader, 3};
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    const std::string& key = cells[0];
+  csv::read_rows(is, csv::TableShape{kSummaryHeader}, [&](const Cells& cells,
+                                                          std::size_t line) {
+    const std::string key{cells[0]};
+    const std::string_view value = cells[2];
     const bool global = cells[1].empty();
     if (key == "driven_km" || key == "rx_bytes" || key == "tx_bytes") {
-      if (!global) table.fail("key '" + key + "' takes no carrier");
-      const double v = table.as_double(cells[2]);
-      if (key == "driven_km") {
-        db.driven_km = v;
-      } else if (key == "rx_bytes") {
-        db.rx_bytes = v;
-      } else {
-        db.tx_bytes = v;
-      }
-      continue;
+      if (!global) csv::fail(line, "key '" + key + "' takes no carrier");
+      schema::read_cell(value, line,
+                        key == "driven_km"  ? db.driven_km
+                        : key == "rx_bytes" ? db.rx_bytes
+                                            : db.tx_bytes);
+      return;
     }
-    if (global) table.fail("key '" + key + "' requires a carrier");
-    const auto carrier = table.as_enum(cells[1], names::parse_carrier);
+    if (global) csv::fail(line, "key '" + key + "' requires a carrier");
+    radio::Carrier carrier{};
+    schema::read_cell(cells[1], line, carrier);
     const std::size_t ci = carrier_index(carrier);
     if (key == "experiment_runtime") {
-      db.experiment_runtime[ci] = table.as_double(cells[2]);
+      schema::read_cell(value, line, db.experiment_runtime[ci]);
     } else if (key == "passive_handovers") {
       db.passive[ci].carrier = carrier;
-      db.passive[ci].handovers = table.as_i64(cells[2]);
+      schema::read_cell(value, line, db.passive[ci].handovers);
     } else if (key == "passive_pings") {
       db.passive[ci].carrier = carrier;
-      db.passive[ci].pings = table.as_i64(cells[2]);
+      schema::read_cell(value, line, db.passive[ci].pings);
     } else {
-      table.fail("unknown summary key '" + key + "'");
+      csv::fail(line, "unknown summary key '" + key + "'");
     }
-  }
+  });
 }
 
 void read_cells_csv(std::istream& is, ConsolidatedDb& db) {
-  CsvTable table{is, kCellsHeader, 3};
-  std::vector<std::string> cells;
-  while (table.next(cells)) {
-    const auto carrier = table.as_enum(cells[0], names::parse_carrier);
+  csv::read_rows(is, csv::TableShape{kCellsHeader}, [&](const Cells& cells,
+                                                        std::size_t line) {
+    radio::Carrier carrier{};
+    schema::read_cell(cells[0], line, carrier);
     const std::size_t ci = carrier_index(carrier);
-    const std::uint32_t id = table.as_u32(cells[2]);
+    std::uint32_t id = 0;
+    schema::read_cell(cells[2], line, id);
     if (cells[1] == "active") {
       db.active_cells[ci].insert(id);
     } else if (cells[1] == "passive") {
       db.passive[ci].carrier = carrier;
       db.passive[ci].cells.insert(id);
     } else {
-      table.fail("unknown view '" + cells[1] + "' (expected active|passive)");
+      csv::fail(line, "unknown view '" + std::string{cells[1]} +
+                          "' (expected active|passive)");
     }
-  }
+  });
+}
+
+const std::vector<BundleFile>& bundle_files() {
+  static const std::vector<BundleFile> files = [] {
+    std::vector<BundleFile> out{
+        table_file<&ConsolidatedDb::tests, schema::kTests>("tests.csv"),
+        table_file<&ConsolidatedDb::kpis, schema::kKpis>("kpis.csv"),
+        table_file<&ConsolidatedDb::rtts, schema::kRtts>("rtts.csv"),
+        table_file<&ConsolidatedDb::handovers, schema::kHandovers>(
+            "handovers.csv"),
+        table_file<&ConsolidatedDb::app_runs, schema::kAppRuns>(
+            "app_runs.csv"),
+        table_file<&ConsolidatedDb::link_ticks, schema::kLinkTicks>(
+            "link_ticks.csv", true),
+        table_file<&ConsolidatedDb::cell_load, schema::kCellLoad>(
+            "cell_load.csv", true),
+    };
+    for (radio::Carrier c : radio::kAllCarriers) {
+      for (const bool passive : {true, false}) {
+        out.push_back(
+            {std::string{passive ? "coverage_passive_" : "coverage_active_"} +
+                 std::string{radio::carrier_name(c)} + ".csv",
+             nullptr,
+             [c, passive](std::ostream& os, const ConsolidatedDb& db) {
+               write_coverage_csv(os, coverage(db, c, passive), c, passive);
+             },
+             [c, passive](std::istream& is, ConsolidatedDb& db) {
+               db.passive[carrier_index(c)].carrier = c;
+               coverage(db, c, passive) = read_coverage_csv(is, c, passive);
+             }});
+      }
+    }
+    out.push_back({"summary.csv", nullptr, write_summary_csv,
+                   read_summary_csv});
+    out.push_back({"cells.csv", nullptr, write_cells_csv, read_cells_csv});
+    return out;
+  }();
+  return files;
 }
 
 std::vector<std::string> write_dataset(
@@ -588,47 +284,14 @@ std::vector<std::string> write_dataset(
   namespace fs = std::filesystem;
   fs::create_directories(directory);
   std::vector<std::string> written;
-
-  auto emit = [&](const std::string& name, auto&& writer) {
-    const fs::path path = fs::path(directory) / name;
+  for (const BundleFile& file : bundle_files()) {
+    if (file.present != nullptr && !file.present(db)) continue;
+    const fs::path path = fs::path(directory) / file.name;
     std::ofstream os{path};
     if (!os) throw std::runtime_error{"csv: cannot open " + path.string()};
-    writer(os);
+    file.write(os, db);
     written.push_back(path.string());
-  };
-
-  emit("tests.csv", [&](std::ostream& os) { write_tests_csv(os, db); });
-  emit("kpis.csv", [&](std::ostream& os) { write_kpis_csv(os, db); });
-  emit("rtts.csv", [&](std::ostream& os) { write_rtts_csv(os, db); });
-  emit("handovers.csv",
-       [&](std::ostream& os) { write_handovers_csv(os, db); });
-  emit("app_runs.csv", [&](std::ostream& os) { write_app_runs_csv(os, db); });
-  // link_ticks.csv exists only when app sessions recorded their per-tick
-  // link state: emitting an empty table unconditionally would change the
-  // byte content of the committed golden bundle and every appless bundle.
-  if (!db.link_ticks.empty()) {
-    emit("link_ticks.csv",
-         [&](std::ostream& os) { write_link_ticks_csv(os, db); });
   }
-  // cell_load.csv exists only for population campaigns: emitting an empty
-  // table unconditionally would change the byte content of every seed bundle
-  // (and the replay_roundtrip / golden CI gates diff bundles recursively).
-  if (!db.cell_load.empty()) {
-    emit("cell_load.csv",
-         [&](std::ostream& os) { write_cell_load_csv(os, db); });
-  }
-  for (radio::Carrier c : radio::kAllCarriers) {
-    const std::size_t ci = carrier_index(c);
-    const std::string base{carrier_name(c)};
-    emit("coverage_passive_" + base + ".csv", [&](std::ostream& os) {
-      write_coverage_csv(os, db.passive[ci].segments, c, true);
-    });
-    emit("coverage_active_" + base + ".csv", [&](std::ostream& os) {
-      write_coverage_csv(os, db.active_coverage[ci], c, false);
-    });
-  }
-  emit("summary.csv", [&](std::ostream& os) { write_summary_csv(os, db); });
-  emit("cells.csv", [&](std::ostream& os) { write_cells_csv(os, db); });
   const fs::path manifest_path = fs::path(directory) / "manifest.json";
   core::obs::write_manifest(manifest, manifest_path.string());
   written.push_back(manifest_path.string());

@@ -7,16 +7,18 @@
 // and re-runs the transport/app stack over them).
 //
 // Format contracts:
-//  - doubles are written at max_digits10, so a written-then-read value is
-//    bit-identical (tests/test_csv_export.cpp);
-//  - enum columns carry the canonical printed names of
-//    measure/enum_names.hpp — the writers and parsers share one table and
-//    cannot drift;
+//  - each of the seven record tables declares its columns once, in
+//    measure/csv_schema.hpp; its header, writer and reader derive from it;
+//  - cells go through the strict codec of measure/csv_codec.hpp: doubles
+//    in the %.17g form, so a written-then-read value is bit-identical,
+//    enums as the printed names of measure/enum_names.hpp;
 //  - readers are strict: truncated rows, unknown enum names, non-finite
 //    numbers and duplicated headers all raise std::runtime_error citing the
-//    offending 1-based line number. Nothing is silently skipped.
+//    offending 1-based line ("line N: ..."). Nothing is silently skipped;
+//  - bundle_files() is the one list of a bundle's files.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -26,7 +28,7 @@
 
 namespace wheels::measure {
 
-/// Format `v` exactly as the CSV writers below do (max_digits10, so the
+/// Format `v` exactly as the CSV writers below do (the %.17g form, so the
 /// text converts back to the identical bits) — for auxiliary tables (fleet
 /// aggregates, golden expectations) that must diff cleanly against files
 /// this module wrote.
@@ -37,12 +39,7 @@ void write_kpis_csv(std::ostream& os, const ConsolidatedDb& db);
 void write_rtts_csv(std::ostream& os, const ConsolidatedDb& db);
 void write_handovers_csv(std::ostream& os, const ConsolidatedDb& db);
 void write_app_runs_csv(std::ostream& os, const ConsolidatedDb& db);
-/// Per-app-session link-state ticks (written into a bundle only when
-/// non-empty, so appless campaigns and pre-existing golden bundles keep
-/// their exact bytes and manifest digest).
 void write_link_ticks_csv(std::ostream& os, const ConsolidatedDb& db);
-/// Per-cell population load (written into a bundle only when non-empty, so
-/// populationless campaigns keep producing byte-identical bundles).
 void write_cell_load_csv(std::ostream& os, const ConsolidatedDb& db);
 void write_coverage_csv(std::ostream& os,
                         const std::vector<CoverageSegment>& segments,
@@ -70,6 +67,22 @@ std::vector<CoverageSegment> read_coverage_csv(std::istream& is,
 /// Fill `db`'s scalar fields / cell sets from the two auxiliary tables.
 void read_summary_csv(std::istream& is, ConsolidatedDb& db);
 void read_cells_csv(std::istream& is, ConsolidatedDb& db);
+
+/// One CSV file of a dataset bundle and how to write and read it.
+struct BundleFile {
+  std::string name;
+  /// Set for the optional tables (link_ticks.csv, cell_load.csv): the file
+  /// is written only when this returns true — so appless or populationless
+  /// campaigns and the bundles recorded before those tables existed keep
+  /// their exact bytes — and a bundle without it reads as an empty table.
+  bool (*present)(const ConsolidatedDb&) = nullptr;
+  std::function<void(std::ostream&, const ConsolidatedDb&)> write;
+  std::function<void(std::istream&, ConsolidatedDb&)> read;
+};
+
+/// Every CSV file of a bundle, in write (and read) order; manifest.json is
+/// the only other file.
+const std::vector<BundleFile>& bundle_files();
 
 /// Write the whole dataset bundle into a directory (created if needed),
 /// including a manifest.json recording the bundle's provenance. Returns the

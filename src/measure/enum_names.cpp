@@ -65,4 +65,22 @@ ran::HandoverType parse_handover_type(std::string_view text) {
   return parse_enum(text, kAllHandoverTypes, "handover type");
 }
 
+void parse(std::string_view t, TestType& out) { out = parse_test_type(t); }
+void parse(std::string_view t, AppKind& out) { out = parse_app_kind(t); }
+void parse(std::string_view t, radio::Carrier& out) { out = parse_carrier(t); }
+void parse(std::string_view t, radio::Technology& out) {
+  out = parse_technology(t);
+}
+void parse(std::string_view t, geo::RegionType& out) { out = parse_region(t); }
+void parse(std::string_view t, geo::Timezone& out) { out = parse_timezone(t); }
+void parse(std::string_view t, net::ServerKind& out) {
+  out = parse_server_kind(t);
+}
+void parse(std::string_view t, radio::Direction& out) {
+  out = parse_direction(t);
+}
+void parse(std::string_view t, ran::HandoverType& out) {
+  out = parse_handover_type(t);
+}
+
 }  // namespace wheels::measure::names

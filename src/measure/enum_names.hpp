@@ -67,4 +67,16 @@ net::ServerKind parse_server_kind(std::string_view text);
 radio::Direction parse_direction(std::string_view text);
 ran::HandoverType parse_handover_type(std::string_view text);
 
+/// The same lookups chosen by the type of `out`, for generic code (the
+/// bundle schema in measure/csv_schema.hpp).
+void parse(std::string_view text, TestType& out);
+void parse(std::string_view text, AppKind& out);
+void parse(std::string_view text, radio::Carrier& out);
+void parse(std::string_view text, radio::Technology& out);
+void parse(std::string_view text, geo::RegionType& out);
+void parse(std::string_view text, geo::Timezone& out);
+void parse(std::string_view text, net::ServerKind& out);
+void parse(std::string_view text, radio::Direction& out);
+void parse(std::string_view text, ran::HandoverType& out);
+
 }  // namespace wheels::measure::names

@@ -11,10 +11,8 @@
 #include <utility>
 #include <vector>
 
-#include "apps/gaming.hpp"
 #include "apps/link_trace.hpp"
-#include "apps/offload.hpp"
-#include "apps/video.hpp"
+#include "campaign/campaign.hpp"
 #include "core/env.hpp"
 #include "core/obs/metrics.hpp"
 #include "core/obs/trace_export.hpp"
@@ -533,36 +531,21 @@ class ReplayRunner {
     // too: recorded rows keep their row indices (and bytes, when no knob
     // fires); fallback rows sort past the recorded table, grouped by test.
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      measure::LinkTickRecord lrec;
-      lrec.test_id = recorded.id;
-      lrec.carrier = carrier;
-      lrec.tech = trace[i].tech;
-      lrec.cap_dl = trace[i].cap_dl;
-      lrec.cap_ul = trace[i].cap_ul;
-      lrec.rtt = trace[i].rtt;
-      lrec.interruption = trace[i].interruption;
-      lrec.handovers = trace[i].handovers;
+      SimMillis t;
       std::size_t lindex;
       if (exact != nullptr) {
-        lrec.t = (*exact)[i]->t;
+        t = (*exact)[i]->t;
         lindex = row_index(bundle_.db.link_ticks, (*exact)[i]);
       } else {
-        lrec.t = recorded.start +
-                 static_cast<SimMillis>(i) * static_cast<SimMillis>(kTick);
+        t = recorded.start +
+            static_cast<SimMillis>(i) * static_cast<SimMillis>(kTick);
         lindex = bundle_.db.link_ticks.size() +
                  static_cast<std::size_t>(recorded.id) * 1000000 + i;
       }
-      shard.link_ticks.emplace_back(lindex, lrec);
+      shard.link_ticks.emplace_back(
+          lindex,
+          campaign::link_tick_record(recorded.id, t, carrier, trace[i]));
     }
-
-    measure::AppRunRecord out;
-    out.test_id = recorded.id;
-    out.app = *kind;
-    out.carrier = carrier;
-    out.is_static = recorded.is_static;
-    out.server = replayed.server;
-    out.high_speed_5g_fraction = apps::high_speed_5g_fraction(trace);
-    out.handovers = apps::total_handovers(trace);
 
     // Sort key: the recorded run's row when the bundle has one, else past
     // the end (keyed by test id for a stable order among such extras).
@@ -573,42 +556,11 @@ class ReplayRunner {
       recorded_run = it->second;
       index = row_index(bundle_.db.app_runs, recorded_run);
     }
-
-    if (*kind == AppKind::Ar || *kind == AppKind::Cav) {
-      const bool compressed =
-          recorded_run != nullptr && recorded_run->compressed;
-      const apps::OffloadApp app{*kind == AppKind::Ar ? apps::ar_config()
-                                                      : apps::cav_config()};
-      const apps::OffloadRunResult run = app.run(trace, compressed);
-      out.compressed = run.compressed;
-      out.median_e2e = run.median_e2e;
-      out.offload_fps = run.offload_fps;
-      out.map_percent = run.map_percent;
-      const double frame_kb =
-          run.compressed ? (*kind == AppKind::Ar ? 50.0 : 38.0)
-                         : (*kind == AppKind::Ar ? 450.0 : 2000.0);
-      shard.tx_bytes +=
-          static_cast<double>(run.frames.size()) * frame_kb * 1024.0;
-    } else if (*kind == AppKind::Video) {
-      apps::VideoConfig vc;
-      vc.run_duration = static_cast<Millis>(trace.size()) * kTick;
-      const apps::VideoRunResult run = apps::VideoApp{vc}.run(trace);
-      out.qoe = run.avg_qoe;
-      out.rebuffer_fraction = run.rebuffer_fraction;
-      out.avg_bitrate = run.avg_bitrate;
-      shard.rx_bytes += run.avg_bitrate * 1e6 / 8.0 * (vc.run_duration / 1000.0);
-    } else {
-      apps::GamingConfig gc;
-      gc.run_duration = static_cast<Millis>(trace.size()) * kTick;
-      const apps::GamingRunResult run = apps::GamingApp{gc}.run(trace);
-      out.gaming_bitrate = run.median_bitrate;
-      out.gaming_latency = run.median_latency;
-      out.gaming_frame_drop = run.median_frame_drop;
-      out.gaming_max_frame_drop = run.max_frame_drop;
-      shard.rx_bytes +=
-          run.median_bitrate * 1e6 / 8.0 * (gc.run_duration / 1000.0);
-    }
-    shard.app_runs.emplace_back(index, out);
+    shard.app_runs.emplace_back(
+        index, campaign::score_app_session(
+                   *kind, replayed, trace,
+                   recorded_run != nullptr && recorded_run->compressed,
+                   shard.rx_bytes, shard.tx_bytes));
 
     auto& reg = core::obs::MetricsRegistry::global();
     static const core::obs::MetricId runs = reg.counter_id("replay.app_runs");

@@ -9,6 +9,7 @@
 #include "core/json.hpp"
 #include "core/obs/manifest.hpp"
 #include "core/obs/metrics.hpp"
+#include "measure/csv_export.hpp"
 
 namespace wheels::service {
 
@@ -67,9 +68,8 @@ CacheEntry parse_index_line(const std::string& line, int line_no) {
   const Value& ver =
       doc.as(doc.get(root, "v"), Value::Kind::Number, "a version number");
   if (ver.number != 1.0) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", ver.number);
-    doc.fail(ver.line, std::string{"unsupported cache index version "} + buf +
+    doc.fail(ver.line, "unsupported cache index version " +
+                           measure::csv_double(ver.number) +
                            " (this daemon writes 1)");
   }
   const Value& kindv =

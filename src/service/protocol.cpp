@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/json.hpp"
+#include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
 #include "transport/tcp_flow.hpp"
 
@@ -24,12 +25,6 @@ std::string u64_str(std::uint64_t v) {
 std::string int_str(int v) {
   char buf[16];
   std::snprintf(buf, sizeof buf, "%d", v);
-  return buf;
-}
-
-std::string double_str(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
 
@@ -336,7 +331,7 @@ std::string JobSpec::to_json() const {
                     ", \"seed\": " + u64_str(seed);
   switch (kind) {
     case JobKind::Campaign:
-      out += ", \"scale\": " + double_str(scale) +
+      out += ", \"scale\": " + measure::csv_double(scale) +
              ", \"apps\": " + (apps ? "true" : "false") +
              ", \"stride\": " + int_str(stride) +
              ", \"static\": " + (run_static ? "true" : "false") +
@@ -428,7 +423,8 @@ Request parse_request(const std::string& line) {
   const Value& ver =
       doc.as(doc.get(root, "v"), Value::Kind::Number, "a version number");
   if (ver.number != static_cast<double>(kProtocolVersion)) {
-    doc.fail(ver.line, "unsupported protocol version " + double_str(ver.number) +
+    doc.fail(ver.line, "unsupported protocol version " +
+                           measure::csv_double(ver.number) +
                            " (this daemon speaks " +
                            int_str(kProtocolVersion) + ")");
   }

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <random>
 #include <sstream>
 
 #include "campaign/campaign.hpp"
 #include "core/obs/manifest.hpp"
 #include "measure/csv_export.hpp"
+#include "measure/csv_schema.hpp"
 #include "measure/enum_names.hpp"
 
 namespace wheels::measure {
@@ -298,6 +304,121 @@ TEST(CsvExport, SummaryAndCellsRoundTrip) {
     EXPECT_EQ(back.passive[ci].pings, db.passive[ci].pings);
     EXPECT_EQ(back.active_cells[ci], db.active_cells[ci]);
     EXPECT_EQ(back.passive[ci].cells, db.passive[ci].cells);
+  }
+}
+
+// --- schema property: every table round-trips bit-exact -------------------
+
+const auto& enumerators(TestType) { return names::kAllTestTypes; }
+const auto& enumerators(AppKind) { return names::kAllAppKinds; }
+const auto& enumerators(radio::Carrier) { return radio::kAllCarriers; }
+const auto& enumerators(radio::Technology) { return radio::kAllTechnologies; }
+const auto& enumerators(geo::RegionType) { return names::kAllRegions; }
+const auto& enumerators(geo::Timezone) { return names::kAllTimezones; }
+const auto& enumerators(net::ServerKind) { return names::kAllServerKinds; }
+const auto& enumerators(radio::Direction) { return names::kAllDirections; }
+const auto& enumerators(ran::HandoverType) { return names::kAllHandoverTypes; }
+
+/// A random value for a field of type T; rows 0 and 1 take the extremes
+/// (-0.0 and the smallest subnormal, the integer limits).
+template <typename T>
+void randomize(T& field, std::size_t row, std::mt19937_64& rng) {
+  using Limits = std::numeric_limits<T>;
+  if constexpr (std::is_enum_v<T>) {
+    const auto& all = enumerators(T{});
+    field = all[rng() % all.size()];
+  } else if constexpr (std::is_same_v<T, bool>) {
+    field = rng() % 2 == 1;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (row < 4) {
+      const T special[] = {-0.0, Limits::denorm_min(), -Limits::max(),
+                           Limits::min()};
+      field = special[row];
+      return;
+    }
+    do {
+      field = std::bit_cast<T>(rng());  // any finite bit pattern
+    } while (!std::isfinite(field));
+  } else {
+    field = row == 0   ? Limits::min()
+            : row == 1 ? Limits::max()
+                       : static_cast<T>(rng());
+  }
+}
+
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  } else {
+    return a == b;
+  }
+}
+
+/// Random rows of `db.*Table` through the table's writer and reader.
+template <auto Table, typename Schema, typename Write, typename Read>
+void expect_round_trip(const Schema& schema, Write write, Read read) {
+  std::mt19937_64 rng{20221017};
+  ConsolidatedDb db;
+  auto& rows = db.*Table;
+  for (std::size_t i = 0; i < 300; ++i) {
+    auto& r = rows.emplace_back();
+    std::apply(
+        [&](const auto&... c) {
+          (randomize(std::invoke(c.get, r), i, rng), ...);
+        },
+        schema);
+  }
+  std::stringstream out;
+  write(out, db);
+  const std::string text = out.str();
+
+  std::string names;
+  std::apply(
+      [&](const auto&... c) {
+        ((names += (names.empty() ? "" : ","), names += c.name), ...);
+      },
+      schema);
+  EXPECT_EQ(text.substr(0, text.find('\n')), names);
+
+  std::stringstream in{text};
+  const auto back = read(in);
+  ASSERT_EQ(back.size(), rows.size()) << names;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto check = [&](const auto& c) {
+      EXPECT_TRUE(same_bits(std::invoke(c.get, back[i]),
+                            std::invoke(c.get, rows[i])))
+          << c.name << " of row " << i;
+    };
+    std::apply([&](const auto&... c) { (check(c), ...); }, schema);
+  }
+}
+
+TEST(CsvSchema, EveryTableRoundTripsRandomRecordsBitExact) {
+  expect_round_trip<&ConsolidatedDb::tests>(schema::kTests, write_tests_csv,
+                                            read_tests_csv);
+  expect_round_trip<&ConsolidatedDb::kpis>(schema::kKpis, write_kpis_csv,
+                                           read_kpis_csv);
+  expect_round_trip<&ConsolidatedDb::rtts>(schema::kRtts, write_rtts_csv,
+                                           read_rtts_csv);
+  expect_round_trip<&ConsolidatedDb::handovers>(
+      schema::kHandovers, write_handovers_csv, read_handovers_csv);
+  expect_round_trip<&ConsolidatedDb::app_runs>(
+      schema::kAppRuns, write_app_runs_csv, read_app_runs_csv);
+  expect_round_trip<&ConsolidatedDb::link_ticks>(
+      schema::kLinkTicks, write_link_ticks_csv, read_link_ticks_csv);
+  expect_round_trip<&ConsolidatedDb::cell_load>(
+      schema::kCellLoad, write_cell_load_csv, read_cell_load_csv);
+}
+
+TEST(CsvSchema, OneDoubleFormatterPrintsThePercent17gForm) {
+  // The one double formatter: %.17g, byte for byte.
+  for (const double v : {0.1, -0.0, 1e21, 1e-7, 123456789012345678.0,
+                         std::numeric_limits<double>::denorm_min(),
+                         -std::numeric_limits<double>::max()}) {
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%.17g", v);
+    EXPECT_EQ(csv_double(v), expected);
   }
 }
 

@@ -18,11 +18,14 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
 #include "replay/ingest.hpp"
@@ -170,6 +173,38 @@ void expect_matches(const ReportSummary& summary, const std::string& kind,
 TEST(GoldenBundle, ManifestPinsTheGoldenConfig) {
   EXPECT_EQ(golden().manifest.seed, kGoldenSeed);
   EXPECT_EQ(golden().manifest.scale, kGoldenScale);
+}
+
+TEST(GoldenBundle, RerecordingIsByteIdentical) {
+  // The committed recording pins the bundle writer's bytes: re-running its
+  // campaign reproduces every committed CSV exactly. link_ticks.csv is newer
+  // than the recording (the re-run writes one the bundle lacks), and the
+  // manifest's wall-clock fields differ by design, so of the manifest only
+  // the config digest is compared.
+  namespace fs = std::filesystem;
+  campaign::CampaignConfig cfg;
+  cfg.seed = kGoldenSeed;
+  cfg.scale = kGoldenScale;
+  cfg.threads = 1;
+  const fs::path dir = fs::path{testing::TempDir()} / "golden-rerecord";
+  fs::remove_all(dir);
+  campaign::run_to_bundle(cfg, dir.string());
+  const auto bytes = [](const fs::path& path) {
+    std::ifstream is{path, std::ios::binary};
+    return std::string{std::istreambuf_iterator<char>{is}, {}};
+  };
+  std::size_t compared = 0;
+  for (const auto& entry : fs::directory_iterator{kGoldenDir + "/bundle"}) {
+    const std::string name = entry.path().filename().string();
+    if (name == "manifest.json") continue;
+    EXPECT_TRUE(bytes(dir / name) == bytes(entry.path())) << name;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 13u);
+  EXPECT_EQ(core::obs::read_manifest((dir / "manifest.json").string())
+                .config_digest,
+            golden().manifest.config_digest);
+  fs::remove_all(dir);
 }
 
 TEST(GoldenBundle, RecordedMediansMatchCheckedInExpectations) {

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "ingest/adapters.hpp"
 #include "ingest/ingest.hpp"
+#include "measure/csv_export.hpp"
 #include "measure/validate.hpp"
 #include "replay/fleet.hpp"
 #include "replay/replay_campaign.hpp"
@@ -577,6 +579,57 @@ TEST(IngestTest, MinimalTraceMalformedRowsReportLineNumbers) {
             std::string::npos);
 }
 
+TEST(IngestTest, MinimalTraceAcceptsASubnormalCapacity) {
+  // Every finite double the bundle writer prints reads back, subnormals
+  // included: strtod flags their underflow with ERANGE, which is no error.
+  std::istringstream is{
+      "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
+      "0,4.9406564584124654e-324,5,60\n"};
+  const CanonicalTrace trace =
+      builtin_registry().find("minimal")->parse(is, IngestOptions{});
+  ASSERT_EQ(trace.points.size(), 1u);
+  EXPECT_EQ(trace.points[0].cap_dl_mbps,
+            std::numeric_limits<double>::denorm_min());
+  // Overflow is still out of range.
+  EXPECT_NE(ingest_text_error("t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
+                              "0,1e999,5,60\n")
+                .find("line 2: number out of range '1e999'"),
+            std::string::npos);
+}
+
+TEST(IngestTest, PaperAdapterReadsTheBundleKpisWriter) {
+  // A kpis.csv exactly as measure::write_kpis_csv writes it: two carriers,
+  // two directions per tick, doubles in the writer's %.17g form.
+  measure::ConsolidatedDb db;
+  const auto row = [&](radio::Carrier carrier, SimMillis t,
+                       radio::Direction dir, double mbps) {
+    measure::KpiRecord k;
+    k.carrier = carrier;
+    k.t = t;
+    k.direction = dir;
+    k.throughput = mbps;
+    k.tech = radio::Technology::NrMid;
+    db.kpis.push_back(k);
+  };
+  row(radio::Carrier::Verizon, 0, radio::Direction::Downlink, 0.1);
+  row(radio::Carrier::Att, 0, radio::Direction::Downlink, 999.0);
+  row(radio::Carrier::Verizon, 0, radio::Direction::Uplink, 1.0 / 3.0);
+  row(radio::Carrier::Verizon, 500, radio::Direction::Downlink, 0.2);
+  row(radio::Carrier::Verizon, 500, radio::Direction::Downlink, 0.4);
+  std::stringstream is;
+  measure::write_kpis_csv(is, db);
+  const CanonicalTrace trace =
+      builtin_registry().find("paper")->parse(is, IngestOptions{});
+  ASSERT_EQ(trace.points.size(), 2u);
+  EXPECT_EQ(trace.points[0].t, 0);
+  EXPECT_EQ(trace.points[0].cap_dl_mbps, 0.1);
+  EXPECT_EQ(trace.points[0].cap_ul_mbps, 1.0 / 3.0);
+  EXPECT_EQ(trace.points[0].tech, radio::Technology::NrMid);
+  EXPECT_EQ(trace.points[1].t, 500);
+  EXPECT_EQ(trace.points[1].cap_dl_mbps, (0.2 + 0.4) / 2.0);
+  EXPECT_EQ(trace.points[1].cap_ul_mbps, 0.0);
+}
+
 TEST(IngestTest, MinimalTraceRejectsDuplicateTimestampsWithLineNumber) {
   const std::string what = ingest_text_error(
       "t_ms,cap_dl_mbps,cap_ul_mbps,rtt_ms\n"
@@ -663,6 +716,11 @@ TEST(IngestTest, FleetSpecGrammarSplitsPathCarrierAndKind) {
   EXPECT_EQ(parse_fleet_spec("trace.csv@").path, "trace.csv@");
   EXPECT_NE(error_of([] { (void)parse_fleet_spec("trace.csv@sprint"); })
                 .find("unknown carrier name 'sprint'"),
+            std::string::npos);
+  // A bundle records its own carriers: a suffix there would be ignored, so
+  // it is an error instead.
+  EXPECT_NE(error_of([] { (void)parse_fleet_spec("day1@T-Mobile"); })
+                .find("applies only to a .csv trace"),
             std::string::npos);
 }
 

@@ -270,6 +270,32 @@ TEST(CoreJson, IntegersDecodeExactlyAndDoublesAsBefore) {
   }
 }
 
+TEST(CoreJson, StringEscapesRoundTrip) {
+  const json::Doc doc{"t"};
+  const std::string raw = std::string{"q\" b\\ s/ \b\f\n\r\t"} + '\x01' +
+                          '\x1f' + " \xc3\xa9 \xf0\x9f\x98\x80";
+  const std::string text = '"' + json::escape(raw) + '"';
+  EXPECT_EQ(text.find('\n'), std::string::npos) << text;
+  EXPECT_EQ(doc.parse(text).text, raw);
+  EXPECT_EQ(json::escape("a\nb\x01\t"), "a\\nb\\u0001\\t");
+  // Every escape of the grammar; \u escapes decode to UTF-8, a surrogate
+  // pair to one four-byte sequence (U+1F600).
+  EXPECT_EQ(
+      doc.parse(R"("\"\\\/\b\f\n\r\t\u0041\u00e9\u20ac\ud83d\ude00")").text,
+      "\"\\/\b\f\n\r\tA\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  for (const char* bad :
+       {R"("\x")", R"("\ud83d")", R"("\ude00")", R"("\ud83dx")",
+        R"("\ud83d\u0041")", R"("\u12")", R"("\u12g4")"}) {
+    try {
+      (void)doc.parse(std::string{"\n"} + bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}.rfind("t: line 2: ", 0), 0u)
+          << bad << ": " << e.what();
+    }
+  }
+}
+
 /// The deterministic view of the global registry after `run(threads)`.
 template <typename Run>
 std::string deterministic_snapshot(const Run& run, int threads) {

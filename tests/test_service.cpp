@@ -369,6 +369,11 @@ TEST(ServiceCache, FleetTraceKeysFollowTheFleetSpecGrammar) {
   const std::string err = thrown([&] { (void)key_of("a.csv@sprint"); });
   EXPECT_NE(err.find("unknown carrier name 'sprint'"), std::string::npos)
       << err;
+  // So is a carrier suffix on a bundle directory, which loading rejects.
+  const std::string dir_err =
+      thrown([&] { (void)key_of("bundle@T-Mobile"); });
+  EXPECT_NE(dir_err.find("applies only to a .csv trace"), std::string::npos)
+      << dir_err;
 }
 
 TEST(ServiceCache, EvictsLeastRecentlyUsedPastByteBound) {
@@ -546,6 +551,12 @@ TEST(ServiceProtocol, MalformedRequestsFailWithExactStrings) {
   EXPECT_EQ(
       err(R"({"v": 1, "op": "submit", "job": {"kind": "replay"}})"),
       "protocol: line 1: replay job needs \"bundle\"");
+}
+
+TEST(ServiceProtocol, ErrorWithNewlineRendersAsOneLine) {
+  const std::string line = render_error("a\nb");
+  EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+  EXPECT_EQ(thrown([&] { parse_ok_response(line); }), "a\nb");
 }
 
 TEST(ServiceProtocol, JobAndResultErrorsNameTheJob) {
