@@ -14,6 +14,12 @@
 //       --gtest_filter=GoldenBundle.*   (one command line)
 // then commit the rewritten expected_summary.csv. The bundle itself is a
 // frozen input; tests/golden/README.md documents how it was produced.
+//
+// tests/golden/expected_fleet.csv pins the what-if fleet's aggregate over the
+// same bundle (cc=recorded,bbr x server=recorded,edge, seed 424242, 300
+// bootstrap iterations): every pooled median and its bootstrap CI, byte for
+// byte. It has no regeneration switch: a change that moves one of those
+// bytes changes a published number and must be explained, not re-pinned.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,6 +34,7 @@
 #include "campaign/campaign.hpp"
 #include "measure/csv_export.hpp"
 #include "measure/enum_names.hpp"
+#include "replay/fleet.hpp"
 #include "replay/ingest.hpp"
 #include "replay/replay_campaign.hpp"
 #include "replay/report.hpp"
@@ -41,6 +48,7 @@ namespace {
 
 const std::string kGoldenDir = WHEELS_GOLDEN_DIR;
 const std::string kExpectedCsv = kGoldenDir + "/expected_summary.csv";
+const std::string kExpectedFleetCsv = kGoldenDir + "/expected_fleet.csv";
 constexpr std::uint64_t kGoldenSeed = 424242;
 constexpr double kGoldenScale = 0.02;
 
@@ -224,6 +232,28 @@ TEST(GoldenBundle, ReplayedMediansMatchCheckedInExpectations) {
   // bit-exact on one platform, a slightly looser relative tolerance absorbs
   // libm differences across platforms while still catching behaviour drift.
   expect_matches(replayed_summary(), "replayed", 1e-6);
+}
+
+TEST(GoldenFleet, AggregateCsvMatchesCheckedInAtThreads1And4) {
+  std::ifstream is{kExpectedFleetCsv, std::ios::binary};
+  ASSERT_TRUE(is) << "missing " << kExpectedFleetCsv;
+  const std::string expected{std::istreambuf_iterator<char>{is}, {}};
+  for (const int threads : {1, 4}) {
+    FleetConfig cfg;
+    cfg.replay.seed = kGoldenSeed;
+    cfg.threads = threads;
+    cfg.ci_iterations = 300;
+    apply_grid_axis(cfg.grid, "cc=recorded,bbr");
+    apply_grid_axis(cfg.grid, "server=recorded,edge");
+    const FleetResult result =
+        ReplayFleet{cfg}.run({FleetItem{kGoldenDir + "/bundle", &golden()}});
+    std::ostringstream os;
+    write_fleet_csv(os, result);
+    EXPECT_TRUE(os.str() == expected)
+        << "fleet aggregate drifted from " << kExpectedFleetCsv
+        << " at threads " << threads << ":\n"
+        << os.str();
+  }
 }
 
 }  // namespace
