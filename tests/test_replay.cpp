@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -34,19 +35,29 @@ const measure::ConsolidatedDb& recorded_db() {
   return db;
 }
 
+/// A directory removed again at process exit. ctest runs every case as its
+/// own process, so a per-process directory left behind piles up per run.
+struct RemovedAtExit {
+  std::string path;
+  ~RemovedAtExit() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+};
+
 /// A bundle directory for recorded_db(), written once per test binary run.
 /// Suffixed with the pid: under `ctest -j`, concurrent test *processes* each
 /// materialize their own copy instead of racing remove_all against readers.
 const std::string& bundle_dir() {
-  static const std::string dir = [] {
+  static const RemovedAtExit dir{[] {
     const std::string d = "/tmp/wheels-replay-test-bundle-" +
                           std::to_string(::getpid());
     fs::remove_all(d);
     (void)measure::write_dataset(recorded_db(), d,
                                  campaign::make_manifest(small_config()));
     return d;
-  }();
-  return dir;
+  }()};
+  return dir.path;
 }
 
 const ReplayBundle& ingested() {

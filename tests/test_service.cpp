@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -41,15 +42,25 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// A directory removed again at process exit. ctest runs every case as its
+/// own process, so a per-process directory left behind piles up per run.
+struct RemovedAtExit {
+  std::string path;
+  ~RemovedAtExit() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+};
+
 const std::string& test_root() {
-  static const std::string dir = [] {
+  static const RemovedAtExit dir{[] {
     const std::string d =
         "/tmp/wheels-service-test-" + std::to_string(::getpid());
     fs::remove_all(d);
     fs::create_directories(d);
     return d;
-  }();
-  return dir;
+  }()};
+  return dir.path;
 }
 
 std::string fresh_dir(const std::string& name) {

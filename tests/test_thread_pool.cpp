@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -199,10 +200,24 @@ TEST(ParallelForFork, ChildSpawnsItsOwnWorkers) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    const auto slow = [](std::size_t) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    };
-    _exit(threads_seen(4, 64, slow).size() > 1 ? 0 : 1);
+    // Index 0 is claimed first, and its thread blocks in it until another
+    // index has run, which only a second thread can do. Without helpers the
+    // wait times out instead of hanging.
+    std::mutex mu;
+    std::condition_variable cv;
+    bool other_ran = false;
+    bool timed_out = false;
+    const std::set<int> ids = threads_seen(4, 64, [&](std::size_t i) {
+      std::unique_lock lk{mu};
+      if (i == 0) {
+        timed_out = !cv.wait_for(lk, std::chrono::seconds(30),
+                                 [&] { return other_ran; });
+      } else {
+        other_ran = true;
+        cv.notify_all();
+      }
+    });
+    _exit(!timed_out && ids.size() > 1 ? 0 : 1);
   }
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
