@@ -1,11 +1,14 @@
 // google-benchmark: end-to-end campaign simulation cost. The full-scale
 // (5,711 km) campaign must stay laptop-fast; this tracks the per-km cost.
+// Also the bootstrap CI behind every what-if fleet median.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "analysis/bootstrap.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/fleet_runner.hpp"
+#include "core/rng.hpp"
 
 namespace {
 
@@ -40,6 +43,34 @@ void BM_FleetRunner(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FleetRunner)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// One fleet-sized median CI: 300 resamples of n lognormal samples rounded to
+// 0.01 (so ties occur, as in the recorded series). s_per_draw is the cost of
+// one resampled element, e.g. "14n" = 14 ns.
+void BM_BootstrapMedianCi(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const int threads = static_cast<int>(state.range(1));
+  constexpr int kIterations = 300;
+  Rng gen{1};
+  std::vector<double> xs(n);
+  for (double& x : xs) x = static_cast<double>(static_cast<long>(
+                               gen.lognormal(3.0, 1.0) * 100.0)) / 100.0;
+  for (auto _ : state) {
+    Rng rng{7};
+    const auto ci = analysis::bootstrap_median_ci(xs, rng, 0.95, kIterations,
+                                                  threads);
+    benchmark::DoNotOptimize(ci.lo);
+  }
+  state.counters["s_per_draw"] = benchmark::Counter(
+      static_cast<double>(n) * kIterations,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BootstrapMedianCi)
+    ->ArgsProduct({{1000, 6400}, {1, 4}})
+    ->ArgNames({"n", "threads"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_CampaignNoApps(benchmark::State& state) {
   campaign::CampaignConfig cfg;

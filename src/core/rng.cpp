@@ -32,10 +32,6 @@ double Rng::uniform(double lo, double hi) {
   return std::uniform_real_distribution<double>(lo, hi)(engine_);
 }
 
-int Rng::uniform_int(int lo, int hi) {
-  return std::uniform_int_distribution<int>(lo, hi)(engine_);
-}
-
 double Rng::normal(double mean, double stddev) {
   return std::normal_distribution<double>(mean, stddev)(engine_);
 }

@@ -29,8 +29,11 @@ class Rng {
   double uniform();
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi);
-  /// Inclusive integer range.
-  int uniform_int(int lo, int hi);
+  /// Inclusive integer range. Inline: bootstrap resampling calls it once
+  /// per resampled element.
+  int uniform_int(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(engine_);
+  }
   double normal(double mean, double stddev);
   /// Lognormal parameterised by the *underlying* normal's mu/sigma.
   double lognormal(double mu, double sigma);

@@ -64,30 +64,6 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// Percentile bootstrap of (median(cell) - median(base)) with independent
-/// resamples of both series per iteration. Follows bootstrap_ci's stream
-/// discipline (one child pair per iteration) so the CI is identical for
-/// every thread count.
-analysis::ConfidenceInterval bootstrap_delta_ci(
-    const std::vector<double>& cell, const std::vector<double>& base_xs,
-    Rng& rng, double level, int iterations) {
-  const Rng base{rng.next_u64()};
-  const auto resampled_median = [](Rng r, const std::vector<double>& from) {
-    std::vector<double> into(from.size());
-    for (double& x : into) {
-      x = from[static_cast<std::size_t>(
-          r.uniform_int(0, static_cast<int>(from.size()) - 1))];
-    }
-    return analysis::median_of(std::move(into));
-  };
-  return analysis::percentile_interval(
-      analysis::median_of(cell) - analysis::median_of(base_xs), level,
-      iterations, 1, [&](std::size_t it) {
-        return resampled_median(base.fork("cell", it), cell) -
-               resampled_median(base.fork("base", it), base_xs);
-      });
-}
-
 transport::CcAlgo parse_cc(const std::string& text) {
   if (text == transport::cc_algo_name(transport::CcAlgo::Cubic)) {
     return transport::CcAlgo::Cubic;
@@ -271,8 +247,8 @@ FleetResult ReplayFleet::run(const std::vector<FleetItem>& items) const {
                        .fork("fleet.delta", ci)
                        .fork(radio::carrier_name(pooled[ci][c].carrier))
                        .fork(kFleetMetricNames[m]);
-        agg.delta_ci =
-            bootstrap_delta_ci(xs, base_xs, drng, 0.95, config_.ci_iterations);
+        agg.delta_ci = analysis::bootstrap_median_delta_ci(
+            xs, base_xs, drng, 0.95, config_.ci_iterations, 1);
         agg.has_delta = true;
         agg.significant = agg.delta_ci.lo > 0.0 || agg.delta_ci.hi < 0.0;
       });

@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/bootstrap.hpp"
 #include "analysis/stats.hpp"
@@ -151,6 +159,165 @@ TEST(Bootstrap, ZeroIterationsThrowsAtEveryThreadCount) {
   }
   EXPECT_THROW((void)analysis::percentile_interval(
                    0.0, 0.95, 0, 1, [](std::size_t) { return 0.0; }),
+               std::invalid_argument);
+}
+
+// The copying bootstrap the ranked resampler replaced, kept as its oracle:
+// n draws copied into a fresh vector, then median_of's nth_element.
+double copied_resample_median(Rng r, std::span<const double> from) {
+  std::vector<double> into(from.size());
+  for (double& x : into) {
+    x = from[static_cast<std::size_t>(
+        r.uniform_int(0, static_cast<int>(from.size()) - 1))];
+  }
+  return analysis::median_of(std::move(into));
+}
+
+analysis::ConfidenceInterval copied_median_ci(std::span<const double> xs,
+                                              Rng& rng, int iterations) {
+  const Rng base{rng.next_u64()};
+  return analysis::percentile_interval(
+      analysis::median_of({xs.begin(), xs.end()}), 0.95, iterations, 1,
+      [&](std::size_t it) {
+        return copied_resample_median(base.fork("resample", it), xs);
+      });
+}
+
+analysis::ConfidenceInterval copied_delta_ci(std::span<const double> xs,
+                                             std::span<const double> base_xs,
+                                             Rng& rng, int iterations) {
+  const Rng base{rng.next_u64()};
+  return analysis::percentile_interval(
+      analysis::median_of({xs.begin(), xs.end()}) -
+          analysis::median_of({base_xs.begin(), base_xs.end()}),
+      0.95, iterations, 1, [&](std::size_t it) {
+        return copied_resample_median(base.fork("cell", it), xs) -
+               copied_resample_median(base.fork("base", it), base_xs);
+      });
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_bits(const analysis::ConfidenceInterval& got,
+                      const analysis::ConfidenceInterval& want,
+                      const std::string& what) {
+  EXPECT_EQ(bits(got.lo), bits(want.lo)) << what << " lo";
+  EXPECT_EQ(bits(got.hi), bits(want.hi)) << what << " hi";
+  EXPECT_EQ(bits(got.point), bits(want.point)) << what << " point";
+}
+
+/// Random series of length n: continuous, all equal, heavy ties (six
+/// distinct values), or all negative.
+std::vector<std::pair<std::string, std::vector<double>>> oracle_series(
+    std::size_t n, Rng& gen) {
+  std::vector<double> continuous(n), equal(n, 42.5), ties(n), negative(n);
+  for (double& x : continuous) x = gen.lognormal(3.0, 1.0);
+  for (double& x : ties) x = 0.5 * gen.uniform_int(0, 5);
+  for (double& x : negative) x = -gen.lognormal(2.0, 1.5);
+  return {{"continuous", continuous},
+          {"equal", equal},
+          {"ties", ties},
+          {"negative", negative}};
+}
+
+TEST(Bootstrap, CountedMedianMatchesCopyAndNthElement) {
+  constexpr int kIterations = 300;
+  Rng gen{18};
+  std::uint64_t seed = 100;
+  for (const std::size_t n : {1u, 2u, 3u, 10u, 999u, 1000u, 6400u}) {
+    const auto series = oracle_series(n, gen);
+    const auto base_series = oracle_series(n == 1 ? 2 : n - 1, gen);
+    for (std::size_t k = 0; k < series.size(); ++k) {
+      const std::vector<double>& xs = series[k].second;
+      const std::vector<double>& base_xs =
+          base_series[(k + 1) % base_series.size()].second;
+      const std::string what =
+          series[k].first + " n=" + std::to_string(n);
+      ++seed;
+      Rng want_rng{seed};
+      const auto want = copied_median_ci(xs, want_rng, kIterations);
+      Rng want_delta_rng{seed};
+      const auto want_delta =
+          copied_delta_ci(xs, base_xs, want_delta_rng, kIterations);
+      for (const int threads : {1, 4}) {
+        Rng rng{seed};
+        expect_same_bits(analysis::bootstrap_median_ci(xs, rng, 0.95,
+                                                       kIterations, threads),
+                         want, what + " threads=" + std::to_string(threads));
+        Rng delta_rng{seed};
+        expect_same_bits(
+            analysis::bootstrap_median_delta_ci(xs, base_xs, delta_rng, 0.95,
+                                                kIterations, threads),
+            want_delta,
+            "delta " + what + " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(Bootstrap, SignedZerosOrderNegativeFirst) {
+  // -0.0 == +0.0, so nth_element may return either where both meet; the
+  // ranked resampler orders -0.0 first, which fixes the median's sign bit.
+  const std::vector<double> more_negative{+0.0, -0.0, -0.0, 1.0, -1.0};
+  const std::vector<double> more_positive{-0.0, +0.0, +0.0, 1.0, -1.0};
+  Rng a{19};
+  Rng b{19};
+  EXPECT_TRUE(std::signbit(
+      analysis::bootstrap_median_ci(more_negative, a, 0.95, 50).point));
+  EXPECT_FALSE(std::signbit(
+      analysis::bootstrap_median_ci(more_positive, b, 0.95, 50).point));
+
+  // Every resample reads its order statistics in that order: the CI equals
+  // a copying bootstrap that sorts each resample with -0.0 before +0.0, bit
+  // for bit, and the nth_element oracle up to the sign of a zero.
+  const auto zero_first = [](double x, double y) {
+    return x < y || (x == y && std::signbit(x) && !std::signbit(y));
+  };
+  const auto ordered_median = [&](std::vector<double> v) {
+    std::sort(v.begin(), v.end(), zero_first);
+    const std::size_t half = v.size() / 2;
+    if (v.size() % 2 == 1) return v[half];
+    return (v[half] + v[half - 1]) / 2.0;
+  };
+  constexpr double kValues[] = {-0.0, +0.0, -1.0, 1.0};
+  Rng gen{20};
+  for (const std::size_t n : {2u, 5u, 40u, 41u}) {
+    std::vector<double> xs(n);
+    for (double& x : xs) x = kValues[gen.uniform_int(0, 3)];
+    Rng rng{21};
+    const auto got = analysis::bootstrap_median_ci(xs, rng, 0.95, 200);
+    Rng want_rng{21};
+    const Rng base{want_rng.next_u64()};
+    const auto want = analysis::percentile_interval(
+        ordered_median(xs), 0.95, 200, 1, [&](std::size_t it) {
+          Rng r = base.fork("resample", it);
+          std::vector<double> resample(n);
+          for (double& x : resample) {
+            x = xs[static_cast<std::size_t>(
+                r.uniform_int(0, static_cast<int>(n) - 1))];
+          }
+          return ordered_median(std::move(resample));
+        });
+    expect_same_bits(got, want, "n=" + std::to_string(n));
+    Rng copy_rng{21};
+    const auto copied = copied_median_ci(xs, copy_rng, 200);
+    EXPECT_EQ(got.lo, copied.lo) << "n=" << n;
+    EXPECT_EQ(got.hi, copied.hi) << "n=" << n;
+    EXPECT_EQ(got.point, copied.point) << "n=" << n;
+  }
+}
+
+TEST(Bootstrap, MedianCiRejectsNaN) {
+  const std::vector<double> xs{1.0, std::numeric_limits<double>::quiet_NaN(),
+                               3.0};
+  Rng rng{22};
+  EXPECT_THROW((void)analysis::bootstrap_median_ci(xs, rng),
+               std::invalid_argument);
+  EXPECT_THROW((void)analysis::bootstrap_median_delta_ci(
+                   std::vector<double>{1.0}, xs, rng),
+               std::invalid_argument);
+  EXPECT_THROW((void)analysis::bootstrap_median_delta_ci(
+                   std::vector<double>{}, std::vector<double>{1.0}, rng),
                std::invalid_argument);
 }
 
