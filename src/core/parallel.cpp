@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/env.hpp"
@@ -57,11 +58,13 @@ struct Batch {
   }
 
   /// Block until every index has finished, then rethrow the lowest
-  /// throwing index's exception, if any.
+  /// throwing index's exception, if any. The exception leaves the batch, so
+  /// the thread that handles it also releases it, even when a helper drops
+  /// the last reference to the batch afterwards.
   void wait() {
     std::unique_lock lk{mu};
     cv.wait(lk, [this] { return done == n; });
-    if (error) std::rethrow_exception(error);
+    if (error) std::rethrow_exception(std::exchange(error, nullptr));
   }
 
   const std::function<void(std::size_t)>* fn;
